@@ -58,6 +58,19 @@ _ANTENNA_AXIS = "4x4,8x8,16x16,32x32"
 _SNR_AXIS = "0,5,10,15,20,25,30"
 _FTM_AXIS = "0.001,0.01,0.05,0.1,0.2"
 
+# Config keys settable by flag (--tx-upa sets tx_upa): metavar and help.
+_FLAGS: dict[str, tuple[str, str]] = {
+    "seed": ("U64", f"RNG seed (fallback: ${SEED_ENV_VAR})"),
+    "trials": ("N", "trials per grid point"),
+    "tx_upa": ("HxV[,..]", "transmit array sizes"),
+    "rx_upa": ("HxV[,..]", "receive array sizes"),
+    "snr_db": ("LIST", "SNR grid, dB"),
+    "ftm_sigma_m": ("LIST", "ranging noise grid, meters"),
+    "beam": ("MODE[,..]", "beam modes: best, aux"),
+    "oversampling": ("N", "codebook oversampling factor"),
+    "planes": ("NAME[,..]", "projection planes: yoz, xoy, xoz"),
+}
+
 
 class ConfigError(Exception):
     """A config file or flag value violates the experiment contract."""
@@ -162,7 +175,6 @@ _KEY_PARSERS: dict[str, Callable[[str], object]] = {
     "sta_yaw_deg": _parse_float,
     "target_box": _parse_box,
     "table_capacity": _parse_int,
-    "eps_col": _parse_float,
     "min_pair_angle": _parse_float,
 }
 
@@ -187,6 +199,30 @@ def _parse_fields(text: str, source: str) -> dict[str, object]:
     return fields
 
 
+def _read_config(path: str | os.PathLike[str] | None) -> tuple[str, dict[str, object]]:
+    """Text and typed fields of a config file; no file gives ("", {})."""
+    if path is None:
+        return "", {}
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigError(f"config file not found: {p}")
+    text = p.read_text()
+    return text, _parse_fields(text, str(p))
+
+
+def _parse_overrides(overrides: Mapping[str, str], name: Callable[[str], str]) -> dict[str, object]:
+    """Raw-string overrides to typed fields; errors cite name(key)."""
+    fields: dict[str, object] = {}
+    for key, value in overrides.items():
+        if key not in _KEY_PARSERS:
+            raise ConfigError(f"unknown key {key!r}")
+        try:
+            fields[key] = _KEY_PARSERS[key](value)
+        except ConfigError as exc:
+            raise ConfigError(f"{name(key)}: {exc}") from exc
+    return fields
+
+
 def _build_config(fields: Mapping[str, object]) -> ExperimentConfig:
     try:
         return ExperimentConfig(**fields)
@@ -203,19 +239,8 @@ def parse_config(
     An absent or empty file yields the built-in defaults.  Raises
     ConfigError naming the offending key on any violation.
     """
-    fields: dict[str, object] = {}
-    if path is not None:
-        p = Path(path)
-        if not p.is_file():
-            raise ConfigError(f"config file not found: {p}")
-        fields.update(_parse_fields(p.read_text(), str(p)))
-    for key, value in (overrides or {}).items():
-        if key not in _KEY_PARSERS:
-            raise ConfigError(f"unknown key {key!r}")
-        try:
-            fields[key] = _KEY_PARSERS[key](value)
-        except ConfigError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
+    _, fields = _read_config(path)
+    fields.update(_parse_overrides(overrides or {}, str))
     return _build_config(fields)
 
 
@@ -247,35 +272,21 @@ def _write_manifest(path: Path, manifest: RunManifest) -> None:
     path.write_text(manifest.to_json())
 
 
+def _flag_name(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _flag_overrides(args: argparse.Namespace) -> dict[str, str]:
     """Flags that were actually given, as raw strings keyed by config name."""
-    mapping = {
-        "seed": args.seed,
-        "trials": args.trials,
-        "tx_upa": args.tx_upa,
-        "rx_upa": args.rx_upa,
-        "snr_db": args.snr_db,
-        "ftm_sigma_m": args.ftm_sigma_m,
-        "beam": args.beam,
-        "oversampling": args.oversampling,
-        "planes": args.planes,
-    }
-    return {k: v for k, v in mapping.items() if v is not None}
+    given = {key: getattr(args, key) for key in _FLAGS}
+    return {k: v for k, v in given.items() if v is not None}
 
 
 def _resolve_config(
     args: argparse.Namespace, axis_defaults: Mapping[str, str]
 ) -> tuple[ExperimentConfig, str | None, str, dict[str, str]]:
     """Merge file, env seed, subcommand axis defaults, and flags."""
-    config_text = ""
-    fields: dict[str, object] = {}
-    if args.config is not None:
-        p = Path(args.config)
-        if not p.is_file():
-            raise ConfigError(f"config file not found: {p}")
-        config_text = p.read_text()
-        fields.update(_parse_fields(config_text, str(p)))
-
+    config_text, fields = _read_config(args.config)
     overrides = _flag_overrides(args)
     for key, value in axis_defaults.items():
         if key not in fields and key not in overrides:
@@ -288,11 +299,7 @@ def _resolve_config(
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
 
-    for key, value in overrides.items():
-        try:
-            fields[key] = _KEY_PARSERS[key](value)
-        except ConfigError as exc:
-            raise ConfigError(f"--{key.replace('_', '-')}: {exc}") from exc
+    fields.update(_parse_overrides(overrides, _flag_name))
     return _build_config(fields), args.config, config_text, overrides
 
 
@@ -386,13 +393,11 @@ def _solve_once(args: argparse.Namespace) -> int:
     plane = ProjectionPlane.from_name(cfg.planes[0])
     try:
         try:
-            partner = select_historical(
-                table, current.observation, 1, plane=plane, eps_col=cfg.eps_col
-            )[0]
+            partner = select_historical(table, current.observation, 1, plane=plane)[0]
         except NoUsableHistory:
             # nothing pairable: let the solver name the failure precisely
             partner = rest[-1].observation
-        result = solve(current.observation, partner, plane, eps_col=cfg.eps_col)
+        result = solve(current.observation, partner, plane)
     except Unsolvable:
         print("unsolvable: collinear (scene type 0)", file=sys.stderr)
         return 1
@@ -439,15 +444,8 @@ def _oracle_check(args: argparse.Namespace) -> int:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
-    parser.add_argument("--seed", metavar="U64", help=f"RNG seed (fallback: ${SEED_ENV_VAR})")
-    parser.add_argument("--trials", metavar="N", help="trials per grid point")
-    parser.add_argument("--tx-upa", metavar="HxV[,..]", help="transmit array sizes")
-    parser.add_argument("--rx-upa", metavar="HxV[,..]", help="receive array sizes")
-    parser.add_argument("--snr-db", metavar="LIST", help="SNR grid, dB")
-    parser.add_argument("--ftm-sigma-m", metavar="LIST", help="ranging noise grid, meters")
-    parser.add_argument("--beam", metavar="MODE[,..]", help="beam modes: best, aux")
-    parser.add_argument("--oversampling", metavar="N", help="codebook oversampling factor")
-    parser.add_argument("--planes", metavar="NAME[,..]", help="projection planes: yoz, xoy, xoz")
+    for key, (metavar, help_text) in _FLAGS.items():
+        parser.add_argument(_flag_name(key), metavar=metavar, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -241,10 +241,10 @@ class ProjectionPlane:
         return f"ProjectionPlane(b1={self.b1.tolist()}, b2={self.b2.tolist()})"
 
 
-def project(plane: ProjectionPlane, direction: np.ndarray, eps_proj: float = EPS_PROJECTION) -> np.ndarray:
+def project(plane: ProjectionPlane, direction: np.ndarray) -> np.ndarray:
     """Orthogonal projection of a direction onto the plane."""
     shadow = plane.matrix @ np.asarray(direction, dtype=float)
-    if np.linalg.norm(shadow) < eps_proj:
+    if np.linalg.norm(shadow) < EPS_PROJECTION:
         raise DegenerateProjection(
             f"direction {np.asarray(direction).tolist()} is normal to the projection plane"
         )
@@ -265,27 +265,27 @@ def reflex_reduce(alpha: float) -> float:
     return min(alpha, TAU - alpha)
 
 
-def _near_collinear(alpha: float, eps_col: float) -> bool:
-    return min(alpha, abs(alpha - math.pi), TAU - alpha) <= eps_col
+def collinear_gap(alpha: float) -> float:
+    """Angular gap from a clockwise angle in [0, 2*pi] to the nearest of {0, pi, 2*pi}."""
+    return min(alpha, abs(alpha - math.pi), TAU - alpha)
 
 
-def classify_scene(
-    cw_aod_pair: float,
-    cw_aoa_pair: float,
-    cw_cross: float,
-    eps_col: float = EPS_COLLINEAR,
-) -> SceneType:
+def _near_collinear(alpha: float) -> bool:
+    return collinear_gap(alpha) <= EPS_COLLINEAR
+
+
+def classify_scene(cw_aod_pair: float, cw_aoa_pair: float, cw_cross: float) -> SceneType:
     """Classify a projected two-path scene from its three clockwise angles.
 
     cw_aod_pair / cw_aoa_pair are the clockwise angles between the two
     projected departure / arrival directions; cw_cross is the clockwise
     angle from path 1's projected departure to its projected arrival
-    direction.  Angles within eps_col of {0, pi, 2*pi} count as collinear.
-    The six outcomes partition the angle cube.
+    direction.  Angles within EPS_COLLINEAR of {0, pi, 2*pi} count as
+    collinear.  The six outcomes partition the angle cube.
     """
 
-    ap_col = _near_collinear(cw_aod_pair, eps_col)
-    sta_col = _near_collinear(cw_aoa_pair, eps_col)
+    ap_col = _near_collinear(cw_aod_pair)
+    sta_col = _near_collinear(cw_aoa_pair)
     if ap_col and sta_col:
         return SceneType(0)
     if ap_col:
@@ -300,7 +300,7 @@ def classify_scene(
     if not ap_open and sta_open:
         return SceneType(2)
     # Both pair angles share a half-plane class; the cross angle breaks the tie.
-    if _near_collinear(cw_cross, eps_col):
+    if _near_collinear(cw_cross):
         # Boundary: reflex(cross) ~ 0 and the code 3/4 formulas coincide.
         return SceneType(4)
     cross_open = cw_cross < math.pi
@@ -335,26 +335,15 @@ class _ProjectedPair:
         )
 
 
-def _tilt(plane: ProjectionPlane, direction: np.ndarray, eps_proj: float) -> float:
-    """Angle between a unit direction and its in-plane shadow."""
-    shadow = project(plane, direction, eps_proj)
-    return math.acos(max(-1.0, min(1.0, float(np.linalg.norm(shadow)))))
-
-
-def _project_pair(
-    obs1: PathObservation,
-    obs2: PathObservation,
-    plane: ProjectionPlane,
-    eps_proj: float,
-) -> _ProjectedPair:
+def _project_pair(obs1: PathObservation, obs2: PathObservation, plane: ProjectionPlane) -> _ProjectedPair:
     e_aod_1 = direction_from_angles(obs1.aod)
     e_aod_2 = direction_from_angles(obs2.aod)
     e_aoa_1 = direction_from_angles(obs1.aoa)
     e_aoa_2 = direction_from_angles(obs2.aoa)
-    p_aod_1 = project(plane, e_aod_1, eps_proj)
-    p_aod_2 = project(plane, e_aod_2, eps_proj)
-    p_aoa_1 = project(plane, e_aoa_1, eps_proj)
-    p_aoa_2 = project(plane, e_aoa_2, eps_proj)
+    p_aod_1 = project(plane, e_aod_1)
+    p_aod_2 = project(plane, e_aod_2)
+    p_aoa_1 = project(plane, e_aoa_1)
+    p_aoa_2 = project(plane, e_aoa_2)
     return _ProjectedPair(
         e_aoa_1=e_aoa_1,
         c1=obs1.path_length,
@@ -383,17 +372,9 @@ def _feasible_midpoint(sign_link: float, offset: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def solve_separate(
-    obs1: PathObservation,
-    obs2: PathObservation,
-    plane: ProjectionPlane,
-    scene: SceneType,
-    *,
-    eps_proj: float = EPS_PROJECTION,
-    tol_residual: float = TOL_RESIDUAL,
-) -> SolveResult:
-    """Solve a scene whose projected reflectors are separate from both
-    terminals' viewpoints (codes 1 to 4).
+def _solve_separate(g: _ProjectedPair, scene: SceneType, inter: SolverIntermediates) -> float:
+    """Reflector distance for a scene whose projected reflectors are
+    separate from both terminals' viewpoints (codes 1 to 4).
 
     The two projected triangles share the reflector-pair line.  Writing
     the sine rule in both and eliminating every length yields one ratio
@@ -402,20 +383,6 @@ def solve_separate(
     coef_sin * sin(t1_angle_ap) + coef_cos * cos(t1_angle_ap) = 0, solved
     by arctangent.  c1 then splits between its legs by the weight ratio.
     """
-
-    if scene.code not in (1, 2, 3, 4):
-        raise ValueError(f"solve_separate expects scene codes 1..4, got {scene.code}")
-    g = _project_pair(obs1, obs2, plane, eps_proj)
-    inter = SolverIntermediates(
-        cw_aod_pair=g.cw_aod_pair,
-        cw_aoa_pair=g.cw_aoa_pair,
-        cw_cross_1=g.cw_cross_1,
-        cw_cross_2=g.cw_cross_2,
-        tilt_aod_1=g.tilt_aod_1,
-        tilt_aod_2=g.tilt_aod_2,
-        tilt_aoa_1=g.tilt_aoa_1,
-        tilt_aoa_2=g.tilt_aoa_2,
-    )
 
     apex_ap = reflex_reduce(g.cw_aod_pair)
     apex_sta = reflex_reduce(g.cw_aoa_pair)
@@ -493,22 +460,16 @@ def solve_separate(
     rhs = ratio * ca1 * cs1 / (ca2 * cs2)
     residual = abs(lhs_num - rhs * lhs_den) / (abs(lhs_num) + abs(rhs * lhs_den) + 1e-300)
     inter.residual = residual
-    if residual > tol_residual:
+    if residual > TOL_RESIDUAL:
         raise InconsistentGeometry(f"sine-rule residual {residual:.3g} above tolerance")
 
     denom = math.sin(apex_sta + t1_sta)
     if abs(denom) > _EPS_ANGLE:
         inter.projected_pair_distance = distance * cs1 * sin_as / denom
+    return distance
 
-    return SolveResult(direction=g.e_aoa_1, distance=distance, scene=scene, intermediates=inter)
 
-
-def _collinear_split(
-    reduced_pair: float,
-    cross_1: float,
-    cross_2: float,
-    eps_col: float,
-) -> tuple[float, float, float]:
+def _collinear_split(reduced_pair: float, cross_1: float, cross_2: float) -> tuple[float, float, float]:
     """Leg signs and the reflector-1 angle for a collinear terminal.
 
     The two projected reflectors sit on one line through the terminal.
@@ -519,7 +480,7 @@ def _collinear_split(
     """
     if reduced_pair < 0.5 * math.pi:
         # Same ray.  A smaller cross angle means a farther reflector.
-        if abs(cross_1 - cross_2) <= eps_col:
+        if abs(cross_1 - cross_2) <= EPS_COLLINEAR:
             raise InconsistentGeometry("collinear reflectors project to the same point")
         if cross_1 < cross_2:
             return 1.0, -1.0, cross_1
@@ -527,17 +488,9 @@ def _collinear_split(
     return 1.0, 1.0, cross_1
 
 
-def solve_collinear(
-    obs1: PathObservation,
-    obs2: PathObservation,
-    plane: ProjectionPlane,
-    scene: SceneType,
-    *,
-    eps_col: float = EPS_COLLINEAR,
-    eps_proj: float = EPS_PROJECTION,
-) -> SolveResult:
-    """Solve a scene whose projected reflectors are collinear with exactly
-    one terminal (code 5).
+def _solve_collinear(g: _ProjectedPair, scene: SceneType, inter: SolverIntermediates) -> float:
+    """Reflector distance for a scene whose projected reflectors are
+    collinear with exactly one terminal (code 5).
 
     The open triangle at the other terminal still obeys the sine rule,
     while along the collinear line the projected reflector separation is
@@ -547,22 +500,6 @@ def solve_collinear(
     the AP leg gives the STA distance.
     """
 
-    if scene.code != 5:
-        raise ValueError(f"solve_collinear expects scene code 5, got {scene.code}")
-    g = _project_pair(obs1, obs2, plane, eps_proj)
-    inter = SolverIntermediates(
-        cw_aod_pair=g.cw_aod_pair,
-        cw_aoa_pair=g.cw_aoa_pair,
-        cw_cross_1=g.cw_cross_1,
-        cw_cross_2=g.cw_cross_2,
-        tilt_aod_1=g.tilt_aod_1,
-        tilt_aod_2=g.tilt_aod_2,
-        tilt_aoa_1=g.tilt_aoa_1,
-        tilt_aoa_2=g.tilt_aoa_2,
-    )
-    if _near_collinear(g.cw_aod_pair, eps_col) and _near_collinear(g.cw_aoa_pair, eps_col):
-        raise Unsolvable("both projected pairs are collinear")
-
     ca1, ca2, cs1, cs2 = g.cos_tilts
     cross_1 = reflex_reduce(g.cw_cross_1)
     cross_2 = reflex_reduce(g.cw_cross_2)
@@ -571,7 +508,7 @@ def solve_collinear(
         apex = reflex_reduce(g.cw_aoa_pair)
         inter.apex_sta = apex
         reduced_pair = reflex_reduce(g.cw_aod_pair)
-        s1, s2, angle = _collinear_split(reduced_pair, cross_1, cross_2, eps_col)
+        s1, s2, angle = _collinear_split(reduced_pair, cross_1, cross_2)
         inter.t1_angle_sta = angle
         near_cos, near_sin = cs1, cs2  # tilts on the open-triangle side
         far_cos_1, far_cos_2 = ca1, ca2
@@ -579,7 +516,7 @@ def solve_collinear(
         apex = reflex_reduce(g.cw_aod_pair)
         inter.apex_ap = apex
         reduced_pair = reflex_reduce(g.cw_aoa_pair)
-        s1, s2, angle = _collinear_split(reduced_pair, cross_1, cross_2, eps_col)
+        s1, s2, angle = _collinear_split(reduced_pair, cross_1, cross_2)
         inter.t1_angle_ap = angle
         near_cos, near_sin = ca1, ca2
         far_cos_1, far_cos_2 = cs1, cs2
@@ -620,31 +557,34 @@ def solve_collinear(
     # Sine rule in the open triangle: the pair separation faces the apex.
     if sin_both > _EPS_ANGLE:
         inter.projected_pair_distance = open_leg_shadow * sin_apex / sin_both
+    return distance
 
-    return SolveResult(direction=g.e_aoa_1, distance=distance, scene=scene, intermediates=inter)
 
-
-def solve(
-    obs1: PathObservation,
-    obs2: PathObservation,
-    plane: ProjectionPlane,
-    *,
-    eps_col: float = EPS_COLLINEAR,
-    eps_proj: float = EPS_PROJECTION,
-    tol_residual: float = TOL_RESIDUAL,
-) -> SolveResult:
-    """Classify the scene for the given plane and dispatch to a solver.
+def solve(obs1: PathObservation, obs2: PathObservation, plane: ProjectionPlane) -> SolveResult:
+    """Project the pair onto the plane once, classify the scene, and solve
+    it with the branch for its code.
 
     obs1 is the current path whose reflector is located; obs2 supplies
-    the second path (usually a historical record).
+    the second path (usually a historical record).  The branch solvers
+    fill the rest of the intermediates and return the distance.
     """
-    g = _project_pair(obs1, obs2, plane, eps_proj)
-    scene = classify_scene(g.cw_aod_pair, g.cw_aoa_pair, g.cw_cross_1, eps_col)
+    g = _project_pair(obs1, obs2, plane)
+    scene = classify_scene(g.cw_aod_pair, g.cw_aoa_pair, g.cw_cross_1)
     if scene.code == 0:
         raise Unsolvable("both projected pairs are collinear (scene code 0)")
-    if scene.code == 5:
-        return solve_collinear(obs1, obs2, plane, scene, eps_col=eps_col, eps_proj=eps_proj)
-    return solve_separate(obs1, obs2, plane, scene, eps_proj=eps_proj, tol_residual=tol_residual)
+    inter = SolverIntermediates(
+        cw_aod_pair=g.cw_aod_pair,
+        cw_aoa_pair=g.cw_aoa_pair,
+        cw_cross_1=g.cw_cross_1,
+        cw_cross_2=g.cw_cross_2,
+        tilt_aod_1=g.tilt_aod_1,
+        tilt_aod_2=g.tilt_aod_2,
+        tilt_aoa_1=g.tilt_aoa_1,
+        tilt_aoa_2=g.tilt_aoa_2,
+    )
+    branch = _solve_collinear if scene.code == 5 else _solve_separate
+    distance = branch(g, scene, inter)
+    return SolveResult(direction=g.e_aoa_1, distance=distance, scene=scene, intermediates=inter)
 
 
 def localize(result: SolveResult, sta_position: np.ndarray) -> np.ndarray:

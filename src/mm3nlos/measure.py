@@ -26,10 +26,6 @@ from .geom import (
     project,
 )
 
-#: Angular tolerance under which two observations count as "the same"
-#: path for selection purposes (guaranteed-unsolvable pairing).
-EPS_COLLINEAR = 1e-6
-
 #: Lower clamp for noisy distances, meters.
 MIN_DISTANCE = 1e-9
 
@@ -108,8 +104,8 @@ def _pairs_with_scene_zero(
     plane: ProjectionPlane,
     cur_aod: np.ndarray,
     cur_aoa: np.ndarray,
+    cur_cross: float,
     cand: PathObservation,
-    eps_col: float,
 ) -> bool:
     """True when pairing current with cand is guaranteed unsolvable."""
     try:
@@ -119,8 +115,7 @@ def _pairs_with_scene_zero(
         return True  # unusable in this plane
     aod_pair = clockwise_angle(plane, cur_aod, cand_aod)
     aoa_pair = clockwise_angle(plane, cur_aoa, cand_aoa)
-    cross = clockwise_angle(plane, cur_aod, cur_aoa)
-    return classify_scene(aod_pair, aoa_pair, cross, eps_col).code == 0
+    return classify_scene(aod_pair, aoa_pair, cur_cross).code == 0
 
 
 def select_historical(
@@ -128,14 +123,13 @@ def select_historical(
     current: PathObservation,
     k: int,
     plane: ProjectionPlane | None = None,
-    eps_col: float = EPS_COLLINEAR,
 ) -> list[PathObservation]:
     """Up to k historical partners for the current path, best SNR first.
 
-    Records whose projected directions are within eps_col of collinear
-    with the current path on both the departure and arrival side are
-    skipped: that pairing cannot be solved.  Ties in SNR go to the
-    newer record.  When nothing qualifies the first-path record is
+    Records whose projected directions are within geom.EPS_COLLINEAR
+    of collinear with the current path on both the departure and
+    arrival side are skipped: that pairing cannot be solved.  Ties in
+    SNR go to the newer record.  When nothing qualifies the first-path record is
     returned instead; NoUsableHistory means not even that exists.
     """
     if k < 1:
@@ -150,10 +144,11 @@ def select_historical(
             return [table.first_path.observation]
         raise NoUsableHistory("current observation does not project onto the plane") from exc
 
+    cur_cross = clockwise_angle(plane, cur_aod, cur_aoa)
     usable = [
         rec.observation
         for rec in table.records
-        if not _pairs_with_scene_zero(plane, cur_aod, cur_aoa, rec.observation, eps_col)
+        if not _pairs_with_scene_zero(plane, cur_aod, cur_aoa, cur_cross, rec.observation)
     ]
     usable.sort(key=lambda o: (-o.snr_db, -o.timestamp))
     if usable:

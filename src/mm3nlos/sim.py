@@ -39,6 +39,7 @@ from .channel import (
     build_codebook,
 )
 from .geom import (
+    TAU,
     DegenerateProjection,
     InconsistentGeometry,
     PathObservation,
@@ -48,13 +49,12 @@ from .geom import (
     Unsolvable,
     angles_from_direction,
     clockwise_angle,
+    collinear_gap,
     localize,
     project,
     solve,
 )
 from .measure import FtmConfig, MeasurementTable, NoUsableHistory, ftm_distance, select_historical
-
-TAU = 2.0 * math.pi
 
 # Substream tags: one independent generator per randomness source.
 _STREAM_SCENARIO = 0
@@ -146,7 +146,6 @@ class ExperimentConfig:
     sta_yaw_deg: float = 180.0
     target_box: tuple[tuple[float, float], ...] = ((0.0, 2.0), (0.5, 4.0), (-1.0, 1.0))
     table_capacity: int = 32
-    eps_col: float = 1e-6
     min_pair_angle: float = 0.02
 
     def __post_init__(self) -> None:
@@ -279,11 +278,7 @@ def make_scenario_sampler(cfg: ExperimentConfig) -> Callable[[np.random.Generato
                 continue
             aod_pair = clockwise_angle(plane, proj["aod1"], proj["aod2"])
             aoa_pair = clockwise_angle(plane, proj["aoa1"], proj["aoa2"])
-            off_collinear = min(
-                aod_pair, abs(aod_pair - math.pi), TAU - aod_pair,
-                aoa_pair, abs(aoa_pair - math.pi), TAU - aoa_pair,
-            )
-            if off_collinear < cfg.min_pair_angle:
+            if min(collinear_gap(aod_pair), collinear_gap(aoa_pair)) < cfg.min_pair_angle:
                 continue
             return Scenario(ap, sta, t1, t2, cfg.planes[0])
         raise RuntimeError("scenario sampler exhausted its rejection budget")
@@ -379,8 +374,8 @@ def run_trial(
     for plane_name in cfg.planes:
         plane = ProjectionPlane.from_name(plane_name)
         try:
-            partner = select_historical(table, obs1, 1, plane=plane, eps_col=cfg.eps_col)[0]
-            result = solve(obs1, partner, plane, eps_col=cfg.eps_col)
+            partner = select_historical(table, obs1, 1, plane=plane)[0]
+            result = solve(obs1, partner, plane)
         except NoUsableHistory:
             first_failure = first_failure or "no_history"
             continue

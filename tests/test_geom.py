@@ -31,8 +31,6 @@ from mm3nlos.geom import (
     project,
     reflex_reduce,
     solve,
-    solve_collinear,
-    solve_separate,
 )
 
 TAU = 2.0 * math.pi
@@ -268,15 +266,6 @@ def test_random_scenes_round_trip():
         np.testing.assert_allclose(localize(res, sta), t1, atol=1e-6)
 
 
-def test_solver_dispatch_guards():
-    obs1 = observe(FROZEN_AP, FROZEN_STA, FROZEN_T1, timestamp=1)
-    obs2 = observe(FROZEN_AP, FROZEN_STA, FROZEN_T2, timestamp=0)
-    with pytest.raises(ValueError):
-        solve_separate(obs1, obs2, YOZ, SceneType(5, "ap"))
-    with pytest.raises(ValueError):
-        solve_collinear(obs1, obs2, YOZ, SceneType(3))
-
-
 def test_collinear_from_the_ap_side():
     ap = np.array([0.0, 0.0, 0.0])
     sta = np.array([2.0, 0.0, 0.0])
@@ -353,3 +342,51 @@ def test_localize_walks_from_the_receiver():
         scene=SceneType(4),
     )
     np.testing.assert_allclose(localize(res, np.array([2.0, 0.0, 0.0])), [1.0, 1.0, 0.0], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# invariances: the solver sees only directions and path lengths
+
+scene_seeds = st.integers(0, 2**32 - 1)
+planes = st.sampled_from([YOZ, XOY])
+
+
+def solve_points(ap, sta, t1, t2, plane):
+    return solve(observe(ap, sta, t1, 1), observe(ap, sta, t2, 0), plane)
+
+
+def rotation_about(axis, angle):
+    """Rodrigues rotation matrix about a unit axis."""
+    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+
+
+@given(seed=scene_seeds, plane=planes, scale=st.floats(0.01, 100.0))
+def test_uniform_scaling_scales_the_distance(seed, plane, scale):
+    pts = sample_scene(np.random.default_rng(seed), plane)
+    base = solve_points(*pts, plane)
+    scaled = solve_points(*(scale * p for p in pts), plane)
+    assert scaled.scene == base.scene
+    assert math.isclose(scaled.distance, scale * base.distance, rel_tol=1e-6)
+
+
+@given(
+    seed=scene_seeds,
+    plane=planes,
+    shift=st.tuples(*[st.floats(-50.0, 50.0)] * 3),
+)
+def test_translation_keeps_the_distance(seed, plane, shift):
+    pts = sample_scene(np.random.default_rng(seed), plane)
+    base = solve_points(*pts, plane)
+    moved = solve_points(*(p + np.array(shift) for p in pts), plane)
+    assert math.isclose(moved.distance, base.distance, rel_tol=1e-6)
+
+
+@given(seed=scene_seeds, plane=planes, angle=st.floats(0.0, TAU))
+def test_rotation_about_the_plane_normal_keeps_distance_and_scene(seed, plane, angle):
+    pts = sample_scene(np.random.default_rng(seed), plane)
+    base = solve_points(*pts, plane)
+    rot = rotation_about(plane.normal, angle)
+    turned = solve_points(*(rot @ p for p in pts), plane)
+    assert turned.scene == base.scene
+    assert math.isclose(turned.distance, base.distance, rel_tol=1e-6)

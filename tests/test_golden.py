@@ -1,0 +1,121 @@
+"""Golden pins: SHA-256 of the exact bytes a fixed seed produces.
+
+A change that claims to keep behaviour must pass these with no hash
+edited.  A deliberate behaviour change updates the hashes and says why
+in CHANGES.md.  On a mismatch, the failing key names the output or the
+scene group that moved.
+"""
+
+import dataclasses
+import hashlib
+
+import numpy as np
+from test_geom import FROZEN_AP, FROZEN_STA, FROZEN_T1, FROZEN_T2, XOY, YOZ, observe, sample_scene
+
+from mm3nlos.geom import GeomError, PathObservation, SphericalAngles, solve
+from mm3nlos.sim import ExperimentConfig, format_curve_csv, format_raw_csv, run_experiment
+
+EXPERIMENT = ExperimentConfig(
+    tx_upa=((4, 4), (8, 8)),
+    rx_upa=((4, 4), (8, 8)),
+    beam=("best", "aux"),
+    trials=20,
+    seed=11,
+)
+
+EXPERIMENT_SHA256 = {
+    "curve": "87ab41338d0f1bf508e2c6ce9e2cfab82b5ffa139c39456fd1d7cfe8c139d8ba",
+    "raw": "43a2107aa7068252119c74768991534f224cbc9d228533c0b92938262c8caad5",
+}
+
+AUDIT_SHA256 = {
+    "frozen": "940a9ffc54fca92994cabbd8848a136c259da435069021d30e5eea616fcb4c77",
+    "collinear": "d54b639bf644e260343221c843817968defde8dd113e0bfe04090b53a9fd98aa",
+    "baseline-family": "2afc5db95fc7f5dbaab3fa8cb881d1394e587371a385234349a4e6445bb87023",
+    "unsolvable-degenerate": "25bc271b8557bb4bc30789384469c29f7280192ebdd0f0efbf6bb327295ec9bf",
+    "random-yoz": "dd05314334bfe9923d6e90592aba631ac742d6fba3c27a041dc2a813182c1eb1",
+    "random-xoy": "015fa641eacbbc9de2f560d315c182ac71340388b5ffd4cc02ad3bb50aac3feb",
+    "noisy-yoz": "065616633c455d9ba5c6b28077b93d1fc4bba3aaf9c4f23ee79ad011a8abeb15",
+    "noisy-xoy": "50219315b5ccc4acbfb3353a2aee2902140122cc2e1ff1b4ff43425c3a4167bb",
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def audit_line(obs1, obs2, plane):
+    """Scene, distance and every intermediate of one solve, or the error class."""
+    try:
+        res = solve(obs1, obs2, plane)
+    except GeomError as exc:
+        return type(exc).__name__
+    inter = tuple(float(v) for v in dataclasses.astuple(res.intermediates))
+    return repr((res.scene.code, res.scene.collinear_with, float(res.distance)) + inter)
+
+
+def audit(cases, noise=None):
+    """One line per (ap, sta, t1, t2, plane) case, hashed together.
+
+    With a noise generator, every angle and path length is perturbed
+    first, which drives the solver into its failure paths too.
+    """
+    lines = []
+    for ap, sta, t1, t2, plane in cases:
+        pair = [observe(ap, sta, t1, 1), observe(ap, sta, t2, 0)]
+        if noise is not None:
+            pair = [perturb(obs, noise) for obs in pair]
+        lines.append(audit_line(*pair, plane))
+    return sha256("\n".join(lines))
+
+
+def perturb(obs, rng, sigma_rad=0.05, sigma_m=0.05):
+    az_t, el_t, az_r, el_r = rng.normal(0.0, sigma_rad, size=4)
+    return PathObservation(
+        aod=SphericalAngles(obs.aod.azimuth + az_t, obs.aod.elevation + el_t),
+        aoa=SphericalAngles(obs.aoa.azimuth + az_r, obs.aoa.elevation + el_r),
+        path_length=obs.path_length + abs(rng.normal(0.0, sigma_m)),
+        snr_db=obs.snr_db,
+        timestamp=obs.timestamp,
+    )
+
+
+def collinear_cases():
+    """The AP-side, STA-side same-ray and STA-side opposite-ray scenes of test_geom."""
+    ap, sta = np.array([0.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0])
+    u_ap = np.array([np.cos(1.1), np.sin(1.1), 0.0])
+    u_sta = np.array([np.cos(2.2), np.sin(2.2), 0.0])
+    return [
+        (ap, sta, ap + 1.0 * u_ap + [0.0, 0.0, 0.3], ap + 2.2 * u_ap + [0.0, 0.0, -0.4], XOY),
+        (ap, sta, sta + 1.1 * u_sta + [0.0, 0.0, 0.25], sta + 2.4 * u_sta + [0.0, 0.0, -0.35], XOY),
+        (ap, sta, sta + 1.1 * u_sta + [0.0, 0.0, 0.25], sta - 1.7 * u_sta + [0.0, 0.0, 0.4], XOY),
+    ]
+
+
+def random_cases(plane, seed, n=300):
+    rng = np.random.default_rng(seed)
+    return [(*sample_scene(rng, plane), plane) for _ in range(n)]
+
+
+def test_experiment_csvs_are_pinned():
+    result = run_experiment(EXPERIMENT, collect_raw=True)
+    got = {"curve": sha256(format_curve_csv(result.curve)), "raw": sha256(format_raw_csv(result))}
+    assert got == EXPERIMENT_SHA256
+
+
+def test_solver_audit_trail_is_pinned():
+    ap, sta = np.array([0.0, 0.0, 0.0]), np.array([0.0, 2.0, 0.0])
+    got = {
+        "frozen": audit([(FROZEN_AP, FROZEN_STA, FROZEN_T1, FROZEN_T2, YOZ)]),
+        "collinear": audit(collinear_cases()),
+        "baseline-family": audit([(ap, sta, [0.0, 0.8, 0.0], [0.0, 1.5, 2.0], YOZ)]),
+        "unsolvable-degenerate": audit([
+            (ap, sta, [0.0, 3.0, 0.0], [0.0, 4.0, 0.0], YOZ),
+            (ap, sta, [1.5, 0.0, 0.0], [0.0, 1.0, 1.0], YOZ),
+        ]),
+        "random-yoz": audit(random_cases(YOZ, seed=21)),
+        "random-xoy": audit(random_cases(XOY, seed=22)),
+        "noisy-yoz": audit(random_cases(YOZ, seed=23), noise=np.random.default_rng(24)),
+        "noisy-xoy": audit(random_cases(XOY, seed=25), noise=np.random.default_rng(26)),
+    }
+    assert got == AUDIT_SHA256
