@@ -241,23 +241,45 @@ class ProjectionPlane:
         return f"ProjectionPlane(b1={self.b1.tolist()}, b2={self.b2.tolist()})"
 
 
-def project(plane: ProjectionPlane, direction: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of a direction onto the plane."""
+def _shadow(plane: ProjectionPlane, direction: np.ndarray) -> tuple[np.ndarray, float]:
+    """Projection of a direction onto the plane, and its norm."""
     shadow = plane.matrix @ np.asarray(direction, dtype=float)
-    if np.linalg.norm(shadow) < EPS_PROJECTION:
+    norm = float(np.linalg.norm(shadow))
+    if norm < EPS_PROJECTION:
         raise DegenerateProjection(
             f"direction {np.asarray(direction).tolist()} is normal to the projection plane"
         )
-    return shadow
+    return shadow, norm
+
+
+def _azimuth(plane: ProjectionPlane, vec: np.ndarray) -> float:
+    """In-plane angle of a (projected) vector, counter-clockwise from b1."""
+    x, y = plane.coords(vec)
+    if math.hypot(x, y) < EPS_PROJECTION:
+        raise ZeroVector("a (nearly) zero in-plane vector has no angle")
+    return math.atan2(y, x)
+
+
+def project(plane: ProjectionPlane, direction: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of a direction onto the plane."""
+    return _shadow(plane, direction)[0]
 
 
 def clockwise_angle(plane: ProjectionPlane, p: np.ndarray, q: np.ndarray) -> float:
     """Clockwise angle from p to q about the plane normal, in [0, 2*pi)."""
-    px, py = plane.coords(p)
-    qx, qy = plane.coords(q)
-    if math.hypot(px, py) < EPS_PROJECTION or math.hypot(qx, qy) < EPS_PROJECTION:
-        raise ZeroVector("clockwise angle of a (nearly) zero in-plane vector")
-    return (math.atan2(py, px) - math.atan2(qy, qx)) % TAU
+    return (_azimuth(plane, p) - _azimuth(plane, q)) % TAU
+
+
+def bearing(plane: ProjectionPlane, direction: np.ndarray) -> tuple[float, float]:
+    """(azimuth, tilt) of a unit direction seen in the plane.
+
+    azimuth is the in-plane angle of its projection, so the clockwise
+    angle from p to q is (azimuth_p - azimuth_q) % TAU; tilt is the
+    out-of-plane angle, whose cosine rescales a 3D length to its
+    in-plane shadow.
+    """
+    shadow, norm = _shadow(plane, direction)
+    return _azimuth(plane, shadow), math.acos(max(-1.0, min(1.0, norm)))
 
 
 def reflex_reduce(alpha: float) -> float:
@@ -309,53 +331,12 @@ def classify_scene(cw_aod_pair: float, cw_aoa_pair: float, cw_cross: float) -> S
     return SceneType(3)
 
 
-@dataclass
-class _ProjectedPair:
-    """Projected geometry shared by the solvers."""
-
-    e_aoa_1: np.ndarray
-    c1: float
-    c2: float
-    cw_aod_pair: float
-    cw_aoa_pair: float
-    cw_cross_1: float
-    cw_cross_2: float
-    tilt_aod_1: float
-    tilt_aod_2: float
-    tilt_aoa_1: float
-    tilt_aoa_2: float
-
-    @property
-    def cos_tilts(self) -> tuple[float, float, float, float]:
-        return (
-            math.cos(self.tilt_aod_1),
-            math.cos(self.tilt_aod_2),
-            math.cos(self.tilt_aoa_1),
-            math.cos(self.tilt_aoa_2),
-        )
-
-
-def _project_pair(obs1: PathObservation, obs2: PathObservation, plane: ProjectionPlane) -> _ProjectedPair:
-    e_aod_1 = direction_from_angles(obs1.aod)
-    e_aod_2 = direction_from_angles(obs2.aod)
-    e_aoa_1 = direction_from_angles(obs1.aoa)
-    e_aoa_2 = direction_from_angles(obs2.aoa)
-    p_aod_1 = project(plane, e_aod_1)
-    p_aod_2 = project(plane, e_aod_2)
-    p_aoa_1 = project(plane, e_aoa_1)
-    p_aoa_2 = project(plane, e_aoa_2)
-    return _ProjectedPair(
-        e_aoa_1=e_aoa_1,
-        c1=obs1.path_length,
-        c2=obs2.path_length,
-        cw_aod_pair=clockwise_angle(plane, p_aod_1, p_aod_2),
-        cw_aoa_pair=clockwise_angle(plane, p_aoa_1, p_aoa_2),
-        cw_cross_1=clockwise_angle(plane, p_aod_1, p_aoa_1),
-        cw_cross_2=clockwise_angle(plane, p_aod_2, p_aoa_2),
-        tilt_aod_1=math.acos(max(-1.0, min(1.0, float(np.linalg.norm(p_aod_1))))),
-        tilt_aod_2=math.acos(max(-1.0, min(1.0, float(np.linalg.norm(p_aod_2))))),
-        tilt_aoa_1=math.acos(max(-1.0, min(1.0, float(np.linalg.norm(p_aoa_1))))),
-        tilt_aoa_2=math.acos(max(-1.0, min(1.0, float(np.linalg.norm(p_aoa_2))))),
+def _cos_tilts(inter: SolverIntermediates) -> tuple[float, float, float, float]:
+    return (
+        math.cos(inter.tilt_aod_1),
+        math.cos(inter.tilt_aod_2),
+        math.cos(inter.tilt_aoa_1),
+        math.cos(inter.tilt_aoa_2),
     )
 
 
@@ -372,7 +353,7 @@ def _feasible_midpoint(sign_link: float, offset: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _solve_separate(g: _ProjectedPair, scene: SceneType, inter: SolverIntermediates) -> float:
+def _solve_separate(inter: SolverIntermediates, c1: float, c2: float, scene: SceneType) -> float:
     """Reflector distance for a scene whose projected reflectors are
     separate from both terminals' viewpoints (codes 1 to 4).
 
@@ -384,25 +365,25 @@ def _solve_separate(g: _ProjectedPair, scene: SceneType, inter: SolverIntermedia
     by arctangent.  c1 then splits between its legs by the weight ratio.
     """
 
-    apex_ap = reflex_reduce(g.cw_aod_pair)
-    apex_sta = reflex_reduce(g.cw_aoa_pair)
+    apex_ap = reflex_reduce(inter.cw_aod_pair)
+    apex_sta = reflex_reduce(inter.cw_aoa_pair)
     inter.apex_ap, inter.apex_sta = apex_ap, apex_sta
 
     # Linear relation t1_angle_sta = sign_link * t1_angle_ap + offset per
     # configuration; the offset comes from the measured cross angle.
     sign_link = -1.0 if scene.code in (1, 2) else 1.0
     if scene.code == 1:
-        offset = TAU - g.cw_cross_1
+        offset = TAU - inter.cw_cross_1
     elif scene.code == 2:
-        offset = g.cw_cross_1
+        offset = inter.cw_cross_1
     elif scene.code == 3:
-        offset = -reflex_reduce(g.cw_cross_1)
+        offset = -reflex_reduce(inter.cw_cross_1)
     else:
-        offset = reflex_reduce(g.cw_cross_1)
+        offset = reflex_reduce(inter.cw_cross_1)
     inter.sign_link = sign_link
 
-    ca1, ca2, cs1, cs2 = g.cos_tilts
-    ratio = g.c1 / g.c2
+    ca1, ca2, cs1, cs2 = _cos_tilts(inter)
+    ratio = c1 / c2
     sin_aa, cos_aa = math.sin(apex_ap), math.cos(apex_ap)
     sin_as = math.sin(apex_sta)
     sin_shift = math.sin(offset + apex_sta)
@@ -448,10 +429,10 @@ def _solve_separate(g: _ProjectedPair, scene: SceneType, inter: SolverIntermedia
     weight_sum = weight_ap + weight_sta
     if abs(weight_sum) < 1e-300:
         raise InconsistentGeometry("degenerate weight split")
-    distance = weight_sta * g.c1 / weight_sum
-    if not (0.0 < distance < g.c1):
+    distance = weight_sta * c1 / weight_sum
+    if not (0.0 < distance < c1):
         raise InconsistentGeometry(
-            f"reflector distance {distance:.6g} outside (0, c1={g.c1:.6g})"
+            f"reflector distance {distance:.6g} outside (0, c1={c1:.6g})"
         )
 
     # Residual of the ratio equation at the returned angles.
@@ -488,7 +469,7 @@ def _collinear_split(reduced_pair: float, cross_1: float, cross_2: float) -> tup
     return 1.0, 1.0, cross_1
 
 
-def _solve_collinear(g: _ProjectedPair, scene: SceneType, inter: SolverIntermediates) -> float:
+def _solve_collinear(inter: SolverIntermediates, c1: float, c2: float, scene: SceneType) -> float:
     """Reflector distance for a scene whose projected reflectors are
     collinear with exactly one terminal (code 5).
 
@@ -500,22 +481,22 @@ def _solve_collinear(g: _ProjectedPair, scene: SceneType, inter: SolverIntermedi
     the AP leg gives the STA distance.
     """
 
-    ca1, ca2, cs1, cs2 = g.cos_tilts
-    cross_1 = reflex_reduce(g.cw_cross_1)
-    cross_2 = reflex_reduce(g.cw_cross_2)
+    ca1, ca2, cs1, cs2 = _cos_tilts(inter)
+    cross_1 = reflex_reduce(inter.cw_cross_1)
+    cross_2 = reflex_reduce(inter.cw_cross_2)
 
     if scene.collinear_with == "ap":
-        apex = reflex_reduce(g.cw_aoa_pair)
+        apex = reflex_reduce(inter.cw_aoa_pair)
         inter.apex_sta = apex
-        reduced_pair = reflex_reduce(g.cw_aod_pair)
+        reduced_pair = reflex_reduce(inter.cw_aod_pair)
         s1, s2, angle = _collinear_split(reduced_pair, cross_1, cross_2)
         inter.t1_angle_sta = angle
         near_cos, near_sin = cs1, cs2  # tilts on the open-triangle side
         far_cos_1, far_cos_2 = ca1, ca2
     else:
-        apex = reflex_reduce(g.cw_aod_pair)
+        apex = reflex_reduce(inter.cw_aod_pair)
         inter.apex_ap = apex
-        reduced_pair = reflex_reduce(g.cw_aoa_pair)
+        reduced_pair = reflex_reduce(inter.cw_aoa_pair)
         s1, s2, angle = _collinear_split(reduced_pair, cross_1, cross_2)
         inter.t1_angle_ap = angle
         near_cos, near_sin = ca1, ca2
@@ -529,9 +510,9 @@ def _solve_collinear(g: _ProjectedPair, scene: SceneType, inter: SolverIntermedi
         raise InconsistentGeometry("collinear configuration with a collapsed triangle")
 
     weight_top = (
-        g.c2 * sin_apex * near_cos * near_sin
-        + s1 * g.c2 * sin_both * far_cos_1 * near_sin
-        - s1 * g.c1 * sin_angle * far_cos_1 * near_cos
+        c2 * sin_apex * near_cos * near_sin
+        + s1 * c2 * sin_both * far_cos_1 * near_sin
+        - s1 * c1 * sin_angle * far_cos_1 * near_cos
     )
     weight_bottom = (
         sin_apex * near_cos * near_sin
@@ -542,16 +523,16 @@ def _solve_collinear(g: _ProjectedPair, scene: SceneType, inter: SolverIntermedi
     if abs(weight_bottom) < 1e-300:
         raise InconsistentGeometry("degenerate collinear weight split")
 
-    leg = (sin_both * near_sin / (sin_angle * near_cos)) * (g.c2 - weight_top / weight_bottom)
+    leg = (sin_both * near_sin / (sin_angle * near_cos)) * (c2 - weight_top / weight_bottom)
     if scene.collinear_with == "ap":
         distance = leg
         open_leg_shadow = distance * near_cos  # reflector 1 to the STA, in plane
     else:
-        distance = g.c1 - leg
+        distance = c1 - leg
         open_leg_shadow = leg * near_cos  # reflector 1 to the AP, in plane
-    if not (0.0 < distance < g.c1):
+    if not (0.0 < distance < c1):
         raise InconsistentGeometry(
-            f"reflector distance {distance:.6g} outside (0, c1={g.c1:.6g})"
+            f"reflector distance {distance:.6g} outside (0, c1={c1:.6g})"
         )
 
     # Sine rule in the open triangle: the pair separation faces the apex.
@@ -561,30 +542,34 @@ def _solve_collinear(g: _ProjectedPair, scene: SceneType, inter: SolverIntermedi
 
 
 def solve(obs1: PathObservation, obs2: PathObservation, plane: ProjectionPlane) -> SolveResult:
-    """Project the pair onto the plane once, classify the scene, and solve
-    it with the branch for its code.
+    """Take the four bearings in the plane once, classify the scene, and
+    solve it with the branch for its code.
 
     obs1 is the current path whose reflector is located; obs2 supplies
     the second path (usually a historical record).  The branch solvers
     fill the rest of the intermediates and return the distance.
     """
-    g = _project_pair(obs1, obs2, plane)
-    scene = classify_scene(g.cw_aod_pair, g.cw_aoa_pair, g.cw_cross_1)
+    e_aoa_1 = direction_from_angles(obs1.aoa)
+    az_aod_1, tilt_aod_1 = bearing(plane, direction_from_angles(obs1.aod))
+    az_aod_2, tilt_aod_2 = bearing(plane, direction_from_angles(obs2.aod))
+    az_aoa_1, tilt_aoa_1 = bearing(plane, e_aoa_1)
+    az_aoa_2, tilt_aoa_2 = bearing(plane, direction_from_angles(obs2.aoa))
+    inter = SolverIntermediates(
+        cw_aod_pair=(az_aod_1 - az_aod_2) % TAU,
+        cw_aoa_pair=(az_aoa_1 - az_aoa_2) % TAU,
+        cw_cross_1=(az_aod_1 - az_aoa_1) % TAU,
+        cw_cross_2=(az_aod_2 - az_aoa_2) % TAU,
+        tilt_aod_1=tilt_aod_1,
+        tilt_aod_2=tilt_aod_2,
+        tilt_aoa_1=tilt_aoa_1,
+        tilt_aoa_2=tilt_aoa_2,
+    )
+    scene = classify_scene(inter.cw_aod_pair, inter.cw_aoa_pair, inter.cw_cross_1)
     if scene.code == 0:
         raise Unsolvable("both projected pairs are collinear (scene code 0)")
-    inter = SolverIntermediates(
-        cw_aod_pair=g.cw_aod_pair,
-        cw_aoa_pair=g.cw_aoa_pair,
-        cw_cross_1=g.cw_cross_1,
-        cw_cross_2=g.cw_cross_2,
-        tilt_aod_1=g.tilt_aod_1,
-        tilt_aod_2=g.tilt_aod_2,
-        tilt_aoa_1=g.tilt_aoa_1,
-        tilt_aoa_2=g.tilt_aoa_2,
-    )
     branch = _solve_collinear if scene.code == 5 else _solve_separate
-    distance = branch(g, scene, inter)
-    return SolveResult(direction=g.e_aoa_1, distance=distance, scene=scene, intermediates=inter)
+    distance = branch(inter, obs1.path_length, obs2.path_length, scene)
+    return SolveResult(direction=e_aoa_1, distance=distance, scene=scene, intermediates=inter)
 
 
 def localize(result: SolveResult, sta_position: np.ndarray) -> np.ndarray:

@@ -16,14 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import (
+    TAU,
     DegenerateProjection,
     PathObservation,
     ProjectionPlane,
     SphericalAngles,
+    bearing,
     classify_scene,
-    clockwise_angle,
     direction_from_angles,
-    project,
 )
 
 #: Lower clamp for noisy distances, meters.
@@ -100,56 +100,47 @@ def record_first_path(table: MeasurementTable, obs: PathObservation) -> None:
     table.first_path = MeasurementRecord(obs, "first-path")
 
 
-def _pairs_with_scene_zero(
-    plane: ProjectionPlane,
-    cur_aod: np.ndarray,
-    cur_aoa: np.ndarray,
-    cur_cross: float,
-    cand: PathObservation,
-) -> bool:
-    """True when pairing current with cand is guaranteed unsolvable."""
-    try:
-        cand_aod = project(plane, direction_from_angles(cand.aod))
-        cand_aoa = project(plane, direction_from_angles(cand.aoa))
-    except DegenerateProjection:
-        return True  # unusable in this plane
-    aod_pair = clockwise_angle(plane, cur_aod, cand_aod)
-    aoa_pair = clockwise_angle(plane, cur_aoa, cand_aoa)
-    return classify_scene(aod_pair, aoa_pair, cur_cross).code == 0
+def _azimuths(plane: ProjectionPlane, obs: PathObservation) -> tuple[float, float]:
+    """In-plane azimuths of the departure and arrival directions."""
+    return (
+        bearing(plane, direction_from_angles(obs.aod))[0],
+        bearing(plane, direction_from_angles(obs.aoa))[0],
+    )
 
 
 def select_historical(
     table: MeasurementTable,
     current: PathObservation,
     k: int,
-    plane: ProjectionPlane | None = None,
+    plane: ProjectionPlane,
 ) -> list[PathObservation]:
     """Up to k historical partners for the current path, best SNR first.
 
     Records whose projected directions are within geom.EPS_COLLINEAR
     of collinear with the current path on both the departure and
-    arrival side are skipped: that pairing cannot be solved.  Ties in
-    SNR go to the newer record.  When nothing qualifies the first-path record is
+    arrival side are skipped: that pairing cannot be solved.  So are
+    records with a direction normal to the plane.  Ties in SNR go to
+    the newer record.  When nothing qualifies the first-path record is
     returned instead; NoUsableHistory means not even that exists.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if plane is None:
-        plane = ProjectionPlane.from_name("yoz")
     try:
-        cur_aod = project(plane, direction_from_angles(current.aod))
-        cur_aoa = project(plane, direction_from_angles(current.aoa))
+        cur_aod, cur_aoa = _azimuths(plane, current)
     except DegenerateProjection as exc:
         if table.first_path is not None:
             return [table.first_path.observation]
         raise NoUsableHistory("current observation does not project onto the plane") from exc
 
-    cur_cross = clockwise_angle(plane, cur_aod, cur_aoa)
-    usable = [
-        rec.observation
-        for rec in table.records
-        if not _pairs_with_scene_zero(plane, cur_aod, cur_aoa, cur_cross, rec.observation)
-    ]
+    cur_cross = (cur_aod - cur_aoa) % TAU
+    usable = []
+    for rec in table.records:
+        try:
+            aod, aoa = _azimuths(plane, rec.observation)
+        except DegenerateProjection:
+            continue  # unusable in this plane
+        if classify_scene((cur_aod - aod) % TAU, (cur_aoa - aoa) % TAU, cur_cross).code != 0:
+            usable.append(rec.observation)
     usable.sort(key=lambda o: (-o.snr_db, -o.timestamp))
     if usable:
         return usable[:k]
@@ -208,9 +199,7 @@ def parse_table(text: str, capacity: int = DEFAULT_CAPACITY) -> MeasurementTable
         if rec.tag == "first-path":
             table.first_path = rec
         else:
-            table.records.append(rec)
-            if len(table.records) > table.capacity:
-                del table.records[0]
+            table.add(rec.observation, rec.tag)
     return table
 
 

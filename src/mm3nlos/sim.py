@@ -48,10 +48,9 @@ from .geom import (
     SphericalAngles,
     Unsolvable,
     angles_from_direction,
-    clockwise_angle,
+    bearing,
     collinear_gap,
     localize,
-    project,
     solve,
 )
 from .measure import FtmConfig, MeasurementTable, NoUsableHistory, ftm_distance, select_historical
@@ -273,11 +272,11 @@ def make_scenario_sampler(cfg: ExperimentConfig) -> Callable[[np.random.Generato
             if not covered:
                 continue
             try:
-                proj = {k: project(plane, v) for k, v in units.items()}
+                az = {k: bearing(plane, v)[0] for k, v in units.items()}
             except DegenerateProjection:
                 continue
-            aod_pair = clockwise_angle(plane, proj["aod1"], proj["aod2"])
-            aoa_pair = clockwise_angle(plane, proj["aoa1"], proj["aoa2"])
+            aod_pair = (az["aod1"] - az["aod2"]) % TAU
+            aoa_pair = (az["aoa1"] - az["aoa2"]) % TAU
             if min(collinear_gap(aod_pair), collinear_gap(aoa_pair)) < cfg.min_pair_angle:
                 continue
             return Scenario(ap, sta, t1, t2, cfg.planes[0])

@@ -11,26 +11,19 @@ import time
 
 import numpy as np
 import pytest
+from test_geom import XOY, YOZ, observe, sample_scene
 
 from mm3nlos import cli
 from mm3nlos.geom import (
-    DegenerateProjection,
     PathObservation,
-    ProjectionPlane,
     SceneType,
     Unsolvable,
     angles_from_direction,
-    clockwise_angle,
     direction_from_angles,
     localize,
-    project,
     solve,
 )
 from mm3nlos.sim import ExperimentConfig, run_experiment
-
-TAU = 2.0 * math.pi
-XOY = ProjectionPlane.from_name("xoy")
-YOZ = ProjectionPlane.from_name("yoz")
 
 LADDER = ((4, 4), (8, 8), (16, 16), (32, 32))
 SNR_GRID = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
@@ -39,41 +32,6 @@ SIGMA_GRID = (0.001, 0.01, 0.05, 0.1, 0.2)
 
 def report(num, ok, detail):
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'}: {detail}")
-
-
-def observe(ap, sta, target, timestamp=0):
-    """Exact measurement of the single-bounce path via the given point."""
-    ap = np.asarray(ap, dtype=float)
-    sta = np.asarray(sta, dtype=float)
-    target = np.asarray(target, dtype=float)
-    return PathObservation(
-        aod=angles_from_direction(target - ap),
-        aoa=angles_from_direction(target - sta),
-        path_length=float(np.linalg.norm(target - ap) + np.linalg.norm(target - sta)),
-        snr_db=math.inf,
-        timestamp=timestamp,
-    )
-
-
-def sample_scene(rng, plane, span=3.0, min_sep=0.05, min_angle=1e-3):
-    """Four distinct random points, rejecting near-degenerate projections."""
-    while True:
-        pts = rng.uniform(-span, span, size=(4, 3))
-        ap, sta, t1, t2 = pts
-        if min(np.linalg.norm(a - b) for i, a in enumerate(pts) for b in pts[i + 1:]) < min_sep:
-            continue
-        dirs = [t1 - ap, t2 - ap, t1 - sta, t2 - sta]
-        try:
-            proj = [project(plane, d / np.linalg.norm(d)) for d in dirs]
-        except DegenerateProjection:
-            continue
-        aod_pair = clockwise_angle(plane, proj[0], proj[1])
-        aoa_pair = clockwise_angle(plane, proj[2], proj[3])
-        off = min(aod_pair, abs(aod_pair - math.pi), TAU - aod_pair,
-                  aoa_pair, abs(aoa_pair - math.pi), TAU - aoa_pair)
-        if off < min_angle:
-            continue
-        return ap, sta, t1, t2
 
 
 # ---------------------------------------------------------------------------

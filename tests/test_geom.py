@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from mm3nlos.geom import (
@@ -24,8 +24,10 @@ from mm3nlos.geom import (
     Unsolvable,
     ZeroVector,
     angles_from_direction,
+    bearing,
     classify_scene,
     clockwise_angle,
+    collinear_gap,
     direction_from_angles,
     localize,
     project,
@@ -66,9 +68,7 @@ def sample_scene(rng, plane, span=3.0, min_sep=0.05, min_angle=1e-3):
             continue
         aod_pair = clockwise_angle(plane, proj[0], proj[1])
         aoa_pair = clockwise_angle(plane, proj[2], proj[3])
-        off = min(aod_pair, abs(aod_pair - math.pi), TAU - aod_pair,
-                  aoa_pair, abs(aoa_pair - math.pi), TAU - aoa_pair)
-        if off < min_angle:
+        if min(collinear_gap(aod_pair), collinear_gap(aoa_pair)) < min_angle:
             continue
         return ap, sta, t1, t2
 
@@ -160,6 +160,22 @@ def test_clockwise_angles_of_a_pair_sum_to_a_full_turn(a, b):
     rev = clockwise_angle(YOZ, q, p)
     total = (fwd + rev) % TAU
     assert total < 1e-9 or abs(total - TAU) < 1e-9
+
+
+unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1).map(
+    lambda v: np.array(v) / np.linalg.norm(v)
+)
+
+
+@given(p=unit_vectors, q=unit_vectors, name=st.sampled_from(["yoz", "xoy", "xoz"]))
+def test_bearing_agrees_with_project_and_clockwise_angle(p, q, name):
+    plane = ProjectionPlane.from_name(name)
+    with pytest.raises(DegenerateProjection):
+        bearing(plane, plane.normal)
+    assume(max(abs(p @ plane.normal), abs(q @ plane.normal)) < 1.0 - 1e-9)
+    (az_p, tilt_p), (az_q, _) = bearing(plane, p), bearing(plane, q)
+    assert (az_p - az_q) % TAU == clockwise_angle(plane, project(plane, p), project(plane, q))
+    assert abs(tilt_p - math.asin(abs(p @ plane.normal))) <= 1e-7
 
 
 @given(a=st.floats(0.0, TAU))

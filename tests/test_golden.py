@@ -8,11 +8,13 @@ scene group that moved.
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 from test_geom import FROZEN_AP, FROZEN_STA, FROZEN_T1, FROZEN_T2, XOY, YOZ, observe, sample_scene
 
 from mm3nlos.geom import GeomError, PathObservation, SphericalAngles, solve
+from mm3nlos.measure import MeasurementTable, NoUsableHistory, record_first_path, select_historical
 from mm3nlos.sim import ExperimentConfig, format_curve_csv, format_raw_csv, run_experiment
 
 EXPERIMENT = ExperimentConfig(
@@ -38,6 +40,8 @@ AUDIT_SHA256 = {
     "noisy-yoz": "065616633c455d9ba5c6b28077b93d1fc4bba3aaf9c4f23ee79ad011a8abeb15",
     "noisy-xoy": "50219315b5ccc4acbfb3353a2aee2902140122cc2e1ff1b4ff43425c3a4167bb",
 }
+
+SELECTION_SHA256 = "661f9b4399336c69c25d64e17441c54c4e2d64f7e7cc155f116f958eaafa0916"
 
 
 def sha256(text):
@@ -119,3 +123,43 @@ def test_solver_audit_trail_is_pinned():
         "noisy-xoy": audit(random_cases(XOY, seed=25), noise=np.random.default_rng(26)),
     }
     assert got == AUDIT_SHA256
+
+
+def selection_line(table, obs, plane, k):
+    """Timestamps of the chosen partners, or the error class."""
+    try:
+        return repr([o.timestamp for o in select_historical(table, obs, k, plane=plane)])
+    except (GeomError, NoUsableHistory) as exc:
+        return type(exc).__name__
+
+
+def test_partner_selection_is_pinned():
+    """A full, evicting table cycled like a streaming localizer.
+
+    Each epoch adds the newest path, so the table always holds a copy of
+    the current path (the code-0 skip).  One path is normal to yoz and
+    the strongest while it is held (on yoz the degenerate-projection
+    skip, and on its own epochs the first-path fallback, timestamp -1);
+    integer SNRs tie often (the recency order); the first epoch runs
+    before any first-path record exists.
+    """
+    rng = np.random.default_rng(31)
+    paths = []
+    for _ in range(20):
+        ap, sta, t1, t2 = sample_scene(rng, YOZ)
+        paths += [observe(ap, sta, t1), observe(ap, sta, t2)]
+    along_x = SphericalAngles(0.0, math.pi / 2)
+    normal = PathObservation(along_x, along_x, 3.0, 0.0, 0)
+    paths.append(normal)
+    table = MeasurementTable(capacity=32)
+    lines = []
+    for epoch in range(160):
+        if epoch == 1:
+            record_first_path(table, dataclasses.replace(paths[0], timestamp=-1))
+        base = paths[epoch % len(paths)]
+        snr = 8.0 if base is normal else float(rng.integers(0, 8))
+        obs = dataclasses.replace(base, snr_db=snr, timestamp=epoch)
+        table.add(obs)
+        for plane in (YOZ, XOY):
+            lines += [selection_line(table, obs, plane, k) for k in (1, 3)]
+    assert sha256("\n".join(lines)) == SELECTION_SHA256

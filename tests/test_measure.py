@@ -210,6 +210,16 @@ def test_parse_table_skips_comments_and_applies_capacity():
     assert len(parse_records("\n".join(lines))) == 4
 
 
+def test_parse_table_keeps_timestamps_increasing():
+    def text(*stamps):
+        return "\n".join(format_record(MeasurementRecord(obs(1.0, 2.0, ts=ts), "historical")) for ts in stamps)
+
+    with pytest.raises(ValueError):
+        parse_table(text(5, 1))
+    with pytest.raises(ValueError):
+        parse_table(text(1, 2, 2))
+
+
 def test_empty_table_serializes_to_an_empty_string():
     assert serialize_table(MeasurementTable()) == ""
 
