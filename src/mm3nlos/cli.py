@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields as dataclass_fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Mapping
@@ -90,11 +90,12 @@ def _parse_float(text: str) -> float:
         raise ConfigError(f"expected a number, got {text!r}") from exc
 
 
+def _items(text: str) -> list[str]:
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    items = [s.strip() for s in text.split(",") if s.strip()]
-    if not items:
-        raise ConfigError("expected a comma-separated list of numbers")
-    return tuple(_parse_float(s) for s in items)
+    return tuple(_parse_float(s) for s in _items(text))
 
 
 def _parse_upa(text: str) -> tuple[int, int]:
@@ -102,38 +103,15 @@ def _parse_upa(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise ConfigError(f"expected HxV (e.g. 32x32), got {text!r}")
     n_h, n_v = (_parse_int(p.strip()) for p in parts)
-    if n_h < 1 or n_v < 1:
-        raise ConfigError(f"array sides must be >= 1, got {text!r}")
     return n_h, n_v
 
 
 def _parse_upa_list(text: str) -> tuple[tuple[int, int], ...]:
-    items = [s.strip() for s in text.split(",") if s.strip()]
-    if not items:
-        raise ConfigError("expected a comma-separated list of HxV sizes")
-    return tuple(_parse_upa(s) for s in items)
+    return tuple(_parse_upa(s) for s in _items(text))
 
 
-def _parse_beam_list(text: str) -> tuple[str, ...]:
-    items = tuple(s.strip().lower() for s in text.split(",") if s.strip())
-    for mode in items:
-        if mode not in ("best", "aux"):
-            raise ConfigError(f"beam mode must be best or aux, got {mode!r}")
-    if not items:
-        raise ConfigError("expected at least one beam mode")
-    return items
-
-
-def _parse_plane_list(text: str) -> tuple[str, ...]:
-    items = tuple(s.strip().lower() for s in text.split(",") if s.strip())
-    if not items:
-        raise ConfigError("expected at least one plane name")
-    for name in items:
-        try:
-            ProjectionPlane.from_name(name)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return items
+def _parse_names(text: str) -> tuple[str, ...]:
+    return tuple(s.lower() for s in _items(text))
 
 
 def _parse_triple(text: str) -> tuple[float, float, float]:
@@ -150,33 +128,20 @@ def _parse_box(text: str) -> tuple[tuple[float, float], ...]:
     return tuple((vals[i], vals[i + 1]) for i in range(0, 6, 2))
 
 
-def _parse_optional_float(text: str) -> float | None:
-    if text.strip().lower() in ("none", ""):
-        return None
-    return _parse_float(text)
-
-
-_KEY_PARSERS: dict[str, Callable[[str], object]] = {
-    "tx_upa": _parse_upa_list,
-    "rx_upa": _parse_upa_list,
-    "snr_db": _parse_float_list,
-    "ftm_sigma_m": _parse_float_list,
-    "beam": _parse_beam_list,
-    "trials": _parse_int,
-    "oversampling": _parse_int,
-    "delta_offset": _parse_optional_float,
-    "seed": _parse_int,
-    "planes": _parse_plane_list,
-    "carrier_hz": _parse_float,
-    "noise_power": _parse_float,
-    "ap_pos": _parse_triple,
-    "sta_pos": _parse_triple,
-    "ap_yaw_deg": _parse_float,
-    "sta_yaw_deg": _parse_float,
-    "target_box": _parse_box,
-    "table_capacity": _parse_int,
-    "min_pair_angle": _parse_float,
+# One text parser per ExperimentConfig field type (the annotation text,
+# as sim uses postponed annotations).  Parsers only convert; the config
+# checks the values.  A field of a new type fails here, at import.
+_TYPE_PARSERS: dict[str, Callable[[str], object]] = {
+    "int": _parse_int,
+    "float": _parse_float,
+    "tuple[float, ...]": _parse_float_list,
+    "tuple[str, ...]": _parse_names,
+    "tuple[tuple[int, int], ...]": _parse_upa_list,
+    "tuple[float, float, float]": _parse_triple,
+    "tuple[tuple[float, float], ...]": _parse_box,
 }
+
+_KEY_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in dataclass_fields(ExperimentConfig)}
 
 
 def _parse_fields(text: str, source: str) -> dict[str, object]:
@@ -295,9 +260,9 @@ def _resolve_config(
     env_seed = os.environ.get(SEED_ENV_VAR)
     if "seed" not in fields and "seed" not in overrides and env_seed is not None:
         try:
-            fields["seed"] = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
+            fields["seed"] = _KEY_PARSERS["seed"](env_seed)
+        except ConfigError as exc:
+            raise ConfigError(f"${SEED_ENV_VAR}: {exc}") from exc
 
     fields.update(_parse_overrides(overrides, _flag_name))
     return _build_config(fields), args.config, config_text, overrides
@@ -373,22 +338,20 @@ def _solve_once(args: argparse.Namespace) -> int:
         return 2
     try:
         records = parse_records(text)
+        if len(records) < 2:
+            raise ValueError("need at least two records (current plus history)")
+        tagged = [r for r in records if r.tag == "current"]
+        current = tagged[0] if tagged else max(records, key=lambda r: r.observation.timestamp)
+        table = MeasurementTable(cfg.table_capacity)
+        rest = sorted((r for r in records if r is not current), key=lambda r: r.observation.timestamp)
+        for rec in rest:
+            if rec.tag == "first-path":
+                record_first_path(table, rec.observation)
+            else:
+                table.add(rec.observation, rec.tag)
     except ValueError as exc:
         print(f"error: {args.records}: {exc}", file=sys.stderr)
         return 2
-    if len(records) < 2:
-        print("error: need at least two records (current plus history)", file=sys.stderr)
-        return 2
-
-    tagged = [r for r in records if r.tag == "current"]
-    current = tagged[0] if tagged else max(records, key=lambda r: r.observation.timestamp)
-    table = MeasurementTable(cfg.table_capacity)
-    rest = sorted((r for r in records if r is not current), key=lambda r: r.observation.timestamp)
-    for rec in rest:
-        if rec.tag == "first-path":
-            record_first_path(table, rec.observation)
-        else:
-            table.add(rec.observation, rec.tag)
 
     plane = ProjectionPlane.from_name(cfg.planes[0])
     try:

@@ -63,6 +63,10 @@ _STREAM_FTM = 3
 
 _SAMPLER_MAX_TRIES = 100000
 
+# Carrier wavelength, meters.  Arrays are half-wavelength spaced, so the
+# phase pitch is pi at any carrier and the carrier never moves a result.
+WAVELENGTH = SPEED_OF_LIGHT / 60e9
+
 
 class EmptyInput(Exception):
     """An aggregate was requested over zero successful trials."""
@@ -115,7 +119,7 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Experiment grid and physical constants.
+    """Experiment grid and scene settings: one field per config key.
 
     tx_upa/rx_upa, snr_db, ftm_sigma_m, and beam are grid axes; the UPA
     lists advance together (a length-1 list broadcasts).  Angles are
@@ -124,7 +128,8 @@ class ExperimentConfig:
     arrays lie in the yz plane facing each other along the x axis (AP
     broadside +x, STA broadside -x), so the reflector box sits between
     them and every direction splits into an in-plane (yz) part measured
-    by the array and an off-plane part along the baseline.
+    by the array and an off-plane part along the baseline.  The noise
+    power is 1, so snr_db sets the transmit power.
     """
 
     tx_upa: tuple[tuple[int, int], ...] = ((32, 32),)
@@ -134,11 +139,8 @@ class ExperimentConfig:
     beam: tuple[str, ...] = ("best",)
     trials: int = 2000
     oversampling: int = 1
-    delta_offset: float | None = None
     seed: int = 0
     planes: tuple[str, ...] = ("yoz",)
-    carrier_hz: float = 60e9
-    noise_power: float = 1.0
     ap_pos: tuple[float, float, float] = (0.0, 0.0, 0.0)
     sta_pos: tuple[float, float, float] = (2.0, 0.0, 0.0)
     ap_yaw_deg: float = 0.0
@@ -158,12 +160,21 @@ class ExperimentConfig:
         for mode in self.beam:
             if mode not in ("best", "aux"):
                 raise ValueError(f"beam mode must be 'best' or 'aux', got {mode!r}")
+        for name in ("tx_upa", "rx_upa"):
+            for n_h, n_v in getattr(self, name):
+                if n_h < 1 or n_v < 1:
+                    raise ValueError(f"{name}: array sides must be >= 1, got {n_h}x{n_v}")
         if len(self.tx_upa) != len(self.rx_upa) and 1 not in (len(self.tx_upa), len(self.rx_upa)):
             raise ValueError("tx_upa and rx_upa lists must match in length (or broadcast from 1)")
-
-    @property
-    def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_hz
+        for name in self.planes:
+            try:
+                ProjectionPlane.from_name(name)
+            except ValueError as exc:
+                raise ValueError(f"planes: {exc}") from exc
+        if self.table_capacity < 1:
+            raise ValueError("table_capacity must be >= 1")
+        if math.dist(self.ap_pos, self.sta_pos) < 1e-9:
+            raise ValueError("ap_pos and sta_pos must differ")
 
     def upa_pairs(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
         tx, rx = self.tx_upa, self.rx_upa
@@ -307,16 +318,14 @@ def _estimate_path(
     )
     best_tx, best_rx, snr_est = beam_sweep(ch, tx_cb, rx_cb, p_t, noise, rng.sweep)
     if cfg.beam[0] == "aux":
-        delta_tx = cfg.delta_offset if cfg.delta_offset is not None else 0.5 * tx_cb.az_cell_width
-        delta_rx = cfg.delta_offset if cfg.delta_offset is not None else 0.5 * rx_cb.az_cell_width
         fixed_rx = array_response(rx_cb.geom, best_rx)
         fixed_tx = array_response(tx_cb.geom, best_tx)
         refined_tx = aux_beam_refine(
-            ch, best_tx, "tx", tx_cb.geom, delta_tx, p_t, noise, rng.sweep,
+            ch, best_tx, "tx", tx_cb.geom, 0.5 * tx_cb.az_cell_width, p_t, noise, rng.sweep,
             other_weights=fixed_rx, other_geom=rx_cb.geom,
         )
         refined_rx = aux_beam_refine(
-            ch, best_rx, "rx", rx_cb.geom, delta_rx, p_t, noise, rng.sweep,
+            ch, best_rx, "rx", rx_cb.geom, 0.5 * rx_cb.az_cell_width, p_t, noise, rng.sweep,
             other_weights=fixed_tx, other_geom=tx_cb.geom,
         )
         best_tx, best_rx = refined_tx, refined_rx
@@ -345,16 +354,16 @@ def run_trial(
     cfg = cfg.single()
     (tx_pair, rx_pair) = cfg.upa_pairs()[0]
     if codebooks is None:
-        tx_cb = build_codebook(UpaGeometry.half_wavelength(*tx_pair, cfg.wavelength), cfg.oversampling)
-        rx_cb = build_codebook(UpaGeometry.half_wavelength(*rx_pair, cfg.wavelength), cfg.oversampling)
+        tx_cb = build_codebook(UpaGeometry.half_wavelength(*tx_pair, WAVELENGTH), cfg.oversampling)
+        rx_cb = build_codebook(UpaGeometry.half_wavelength(*rx_pair, WAVELENGTH), cfg.oversampling)
     else:
         tx_cb, rx_cb = codebooks
 
     snr = cfg.snr_db[0]
     if math.isinf(snr) and snr > 0:
-        p_t, noise = cfg.noise_power, 0.0  # exact, noise-free measurements
+        p_t, noise = 1.0, 0.0  # exact, noise-free measurements
     else:
-        p_t, noise = cfg.noise_power * 10.0 ** (snr / 10.0), cfg.noise_power
+        p_t, noise = 10.0 ** (snr / 10.0), 1.0
     truth1, truth2 = synthesize_observations(scenario)
     gains = [
         complex(rng.channel.standard_normal(), rng.channel.standard_normal()) / math.sqrt(2.0)
@@ -487,7 +496,7 @@ def run_experiment(
     def codebook_for(pair: tuple[int, int]) -> Codebook:
         key = (pair[0], pair[1], cfg.oversampling)
         if key not in codebook_cache:
-            geom = UpaGeometry.half_wavelength(pair[0], pair[1], cfg.wavelength)
+            geom = UpaGeometry.half_wavelength(pair[0], pair[1], WAVELENGTH)
             codebook_cache[key] = build_codebook(geom, cfg.oversampling)
         return codebook_cache[key]
 

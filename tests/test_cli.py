@@ -1,5 +1,6 @@
 """Command-line behavior: config precedence, sweeps, manifests, solving."""
 
+import dataclasses
 import json
 import math
 
@@ -87,21 +88,60 @@ def test_upa_and_box_value_parsing(tmp_path):
         "tx_upa = 4x4, 8x8\n"
         "rx_upa = 4x4, 8x8\n"
         "target_box = 0,1, 0.5,2, -1,1\n"
-        "delta_offset = none\n"
     )
     cfg = parse_config(path)
     assert cfg.tx_upa == ((4, 4), (8, 8))
     assert cfg.target_box == ((0.0, 1.0), (0.5, 2.0), (-1.0, 1.0))
-    assert cfg.delta_offset is None
     path.write_text("tx_upa = 4by4\n")
     with pytest.raises(ConfigError, match="HxV"):
         parse_config(path)
+
+
+def _as_text(value) -> str:
+    """A config value as config-file text."""
+    if isinstance(value, tuple) and all(isinstance(v, int) for v in value):
+        return "x".join(str(v) for v in value)  # an HxV array size
+    if isinstance(value, tuple):
+        return ",".join(_as_text(v) for v in value)
+    return str(value)
+
+
+def test_every_key_round_trips_its_default(tmp_path):
+    path = tmp_path / "defaults.cfg"
+    defaults = ExperimentConfig()
+    path.write_text("".join(
+        f"{f.name} = {_as_text(getattr(defaults, f.name))}\n"
+        for f in dataclasses.fields(ExperimentConfig)
+    ))
+    assert parse_config(path) == defaults
+    for removed in ("carrier_hz", "noise_power", "delta_offset"):
+        path.write_text(f"{removed} = 1\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{removed}'"):
+            parse_config(path)
 
 
 def test_bad_flag_value_exits_with_config_error(tmp_path, capsys):
     rc = main(["sweep-snr", "--trials", "soon", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_config_checks_run_before_any_output(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(TINY_SWEEP + "table_capacity = 0\n")
+    out = tmp_path / "curve.csv"
+    assert main(["sweep-snr", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "curve.manifest.json").exists()
+
+    records = tmp_path / "obs.records"
+    records.write_text(
+        record_line(T1, ts=1, tag="current") + "\n"
+        + record_line(T2, ts=0, tag="historical") + "\n"
+    )
+    assert main(["solve-once", "--config", str(cfg_path), str(records)]) == 2
+    assert "table_capacity" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +295,18 @@ def test_solve_once_input_errors_exit_two(tmp_path, capsys):
     assert main(["solve-once", str(records)]) == 2
     assert main(["solve-once", str(tmp_path / "absent.records")]) == 2
     capsys.readouterr()
+
+
+def test_solve_once_repeated_timestamps_exit_two(tmp_path, capsys):
+    records = tmp_path / "twice.records"
+    records.write_text(
+        record_line(T1, ts=1, tag="current") + "\n"
+        + record_line(T2, ts=0, tag="historical") + "\n"
+        + record_line(T2, ts=0, tag="historical") + "\n"
+    )
+    assert main(["solve-once", str(records)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not after latest" in err
 
 
 def test_oracle_check_reports_all_passes(capsys):

@@ -196,6 +196,14 @@ def test_config_validation():
         small_cfg(tx_upa=((4, 4), (8, 8)), rx_upa=((4, 4), (8, 8), (16, 16)))
     with pytest.raises(ValueError):
         small_cfg(snr_db=(0.0, 10.0)).single()
+    with pytest.raises(ValueError, match="planes"):
+        small_cfg(planes=("abc",))
+    with pytest.raises(ValueError, match="tx_upa"):
+        small_cfg(tx_upa=((0, 4),))
+    with pytest.raises(ValueError, match="table_capacity"):
+        small_cfg(table_capacity=0)
+    with pytest.raises(ValueError, match="ap_pos"):
+        small_cfg(ap_pos=(1.0, 2.0, 3.0), sta_pos=(1.0, 2.0, 3.0))
 
 
 def test_upa_lists_broadcast():
