@@ -4,8 +4,11 @@ Models a single-path link between two uniform planar arrays (UPAs).  The
 channel is rank one: a complex gain times the outer product of receive
 and transmit steering vectors.  Angle estimation is simulated two ways:
 
-* an exhaustive sweep over a Kronecker-product codebook, taking the
-  transmit/receive pair with the highest noisy received power, and
+* a sweep over a Kronecker-product codebook, taking the
+  transmit/receive pair with the highest noisy received power.  Noise
+  is drawn only for the pairs that can still win, so the result is the
+  exhaustive sweep's except on a declared event of probability below
+  1e-12 (SWEEP_MISS_PROBABILITY), and
 * an auxiliary-beam refinement step that steers two beams slightly off
   the coarse estimate per angular coordinate and inverts the measured
   power ratio through the array factor (amplitude-comparison monopulse).
@@ -39,6 +42,20 @@ ELEVATION_MAX = 3.0 * math.pi / 4.0
 _MAINLOBE_FRACTION = 0.95
 
 _TINY_POWER = 1e-300
+
+#: Pruned sweep: pairs whose signal amplitude is more than this many
+#: noise amplitudes sqrt(noise_power) below the peak get no noise draw
+#: unless the best measurement leaves them a chance to win.
+SWEEP_MARGIN = 10.0
+
+#: Pruned sweep: accepted bound on the probability that a skipped pair
+#: would have won.
+SWEEP_MISS_PROBABILITY = 1e-12
+
+# Relative slack on the pruning floor, so rounding in the per-pair
+# amplitudes cannot leave a noiseless sweep's winner outside the
+# rectangle.
+_SWEEP_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -178,17 +195,18 @@ class Codebook:
         self.geom = geom
         self.sin_az_grid = np.asarray(sin_az_grid, dtype=float)
         self.cos_el_grid = np.asarray(cos_el_grid, dtype=float)
-        self.steerings: list[SphericalAngles] = []
-        weights = np.empty((self.sin_az_grid.size * self.cos_el_grid.size, geom.n_elements), dtype=complex)
-        idx = 0
-        for s in self.sin_az_grid:
-            az = math.asin(float(s))
-            for c in self.cos_el_grid:
-                ang = SphericalAngles(az, math.acos(float(c)))
-                self.steerings.append(ang)
-                weights[idx] = array_response(geom, ang)
-                idx += 1
-        self.weights = weights
+        self.steerings = [
+            SphericalAngles(math.asin(float(s)), math.acos(float(c)))
+            for s in self.sin_az_grid
+            for c in self.cos_el_grid
+        ]
+        # Row k equals array_response(geom, steerings[k]) bit for bit: one
+        # exp per axis over all codewords, then one outer product.
+        cosines = np.array([direction_cosines(ang) for ang in self.steerings])
+        pitch = geom.phase_pitch
+        h = np.exp(-1j * pitch * cosines[:, :1] * np.arange(geom.n_h)) / math.sqrt(geom.n_h)
+        w = np.exp(-1j * pitch * cosines[:, 1:] * np.arange(geom.n_v)) / math.sqrt(geom.n_v)
+        self.weights = (h[:, :, None] * w[:, None, :]).reshape(len(self.steerings), geom.n_elements)
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -236,22 +254,56 @@ def beam_sweep(
     noise_power: float,
     rng: np.random.Generator,
 ) -> tuple[SphericalAngles, SphericalAngles, float]:
-    """Exhaustive beam training over all codeword pairs.
+    """Beam training over all codeword pairs.
 
     Each pair gets one noisy measurement; the pair with the highest
     measured power wins.  Returns its steering angles and the measured
     SNR estimate in dB (infinite when noise_power is zero).
+
+    Noise is drawn only for pairs that can still win.  The channel is
+    rank one, so pair (j, i) has signal amplitude
+    |amp| |w_j^H a_r| |f_i^H a_t|.  With floor the peak amplitude less
+    SWEEP_MARGIN noise amplitudes sqrt(noise_power), the rows and
+    columns whose best cell reaches floor form a rectangle that holds
+    every cell at or above it; only the rectangle is measured.  Its
+    winner, at measured amplitude B, stands when the Rayleigh tail bound
+    on any of the n skipped cells measuring above B,
+    n exp(-(B - floor)^2 / noise_power), is below SWEEP_MISS_PROBABILITY
+    (1e-12).  Otherwise the rectangle's draws are kept and noise is
+    drawn for the skipped cells too, so the result is the exhaustive
+    sweep's up to an event of probability below 1e-12.  When floor <= 0
+    (low SNR, small arrays) the rectangle is the whole grid.
     """
     a_t = array_response(tx_cb.geom, ch.aod)
     a_r = array_response(rx_cb.geom, ch.aoa)
-    tx_gain = tx_cb.weights.conj() @ a_t  # f_i^H a_t
-    rx_gain = rx_cb.weights.conj() @ a_r  # w_j^H a_r
+    tx_gain = (tx_cb.weights @ a_t.conj()).conj()  # f_i^H a_t
+    rx_gain = (rx_cb.weights @ a_r.conj()).conj()  # w_j^H a_r
     amp = math.sqrt(p_t * tx_cb.geom.n_elements * rx_cb.geom.n_elements) * ch.gain
-    signal = amp * np.outer(rx_gain, tx_gain.conj())
-    meas = signal + _complex_noise(rng, signal.shape, noise_power)
+    rx_abs = abs(amp) * np.abs(rx_gain)
+    tx_abs = np.abs(tx_gain)
+    rx_max, tx_max = float(rx_abs.max()), float(tx_abs.max())
+    floor = rx_max * tx_max * (1.0 - _SWEEP_SLACK) - SWEEP_MARGIN * math.sqrt(noise_power)
+    rows = np.flatnonzero(rx_abs * tx_max >= floor)
+    cols = np.flatnonzero(rx_max * tx_abs >= floor)
+    meas = amp * np.outer(rx_gain[rows], tx_gain[cols].conj())
+    meas += _complex_noise(rng, meas.shape, noise_power)
     power = np.abs(meas) ** 2
-    j, i = np.unravel_index(int(np.argmax(power)), power.shape)
-    best = float(power[j, i])
+    k = int(np.argmax(power))
+    j, i = rows[k // cols.size], cols[k % cols.size]
+    best = float(power.flat[k])
+    skipped = rx_gain.size * tx_gain.size - meas.size
+    gap = math.sqrt(best) - floor
+    if skipped and noise_power > 0.0 and not (
+        gap > 0.0 and skipped * math.exp(-gap * gap / noise_power) < SWEEP_MISS_PROBABILITY
+    ):
+        full = amp * np.outer(rx_gain, tx_gain.conj())
+        skip = np.ones(full.shape, dtype=bool)
+        skip[np.ix_(rows, cols)] = False
+        full[skip] += _complex_noise(rng, skipped, noise_power)
+        full[np.ix_(rows, cols)] = meas
+        power = np.abs(full) ** 2
+        j, i = np.unravel_index(int(np.argmax(power)), power.shape)
+        best = float(power[j, i])
     snr_db = math.inf if noise_power == 0.0 else (
         10.0 * math.log10(best / noise_power) if best > 0.0 else -math.inf
     )

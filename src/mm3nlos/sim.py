@@ -171,6 +171,12 @@ class ExperimentConfig:
                 ProjectionPlane.from_name(name)
             except ValueError as exc:
                 raise ValueError(f"planes: {exc}") from exc
+        for sigma in self.ftm_sigma_m:
+            if not sigma >= 0.0:
+                raise ValueError(f"ftm_sigma_m entries must be >= 0, got {sigma}")
+        box = self.target_box
+        if len(box) != 3 or any(len(pair) != 2 or not pair[0] < pair[1] for pair in box):
+            raise ValueError(f"target_box must be three (lo, hi) pairs with lo < hi, got {box}")
         if self.table_capacity < 1:
             raise ValueError("table_capacity must be >= 1")
         if math.dist(self.ap_pos, self.sta_pos) < 1e-9:

@@ -9,10 +9,12 @@ import math
 import numpy as np
 import pytest
 
+from mm3nlos import channel
 from mm3nlos.channel import (
     AZIMUTH_HALF_SPAN,
     ELEVATION_MAX,
     ELEVATION_MIN,
+    SWEEP_MISS_PROBABILITY,
     ChannelRealization,
     UpaGeometry,
     array_response,
@@ -151,6 +153,13 @@ def test_single_element_codebook_is_the_trivial_beam():
     assert math.isclose(cb.steerings[0].elevation, math.pi / 2)
 
 
+@pytest.mark.parametrize("n_h, n_v, oversampling", [(32, 32, 1), (8, 8, 1), (4, 4, 2), (1, 8, 1), (3, 5, 1)])
+def test_codebook_weights_are_the_steering_responses(n_h, n_v, oversampling):
+    g = upa(n_h, n_v)
+    cb = build_codebook(g, oversampling)
+    assert np.array_equal(cb.weights, np.stack([array_response(g, a) for a in cb.steerings]))
+
+
 def test_codebook_rejects_bad_oversampling():
     with pytest.raises(ValueError):
         build_codebook(upa(4), oversampling=0)
@@ -271,6 +280,90 @@ def test_noise_dominated_sweep_picks_uniformly():
     expected = sweeps / counts.size
     stat = float(((counts - expected) ** 2 / expected).sum())
     assert stat < 30.578  # chi-square critical value, 15 dof, 1%
+
+
+class CountingNormals:
+    """Generator proxy recording the size of every Gaussian draw."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = []
+
+    def standard_normal(self, shape=None):
+        out = self.rng.standard_normal(shape)
+        self.draws.append(int(np.size(out)))
+        return out
+
+
+def full_draw_best_pair(ch, tx_cb, rx_cb, p_t, noise_power, rng):
+    """Noisy sweep oracle: one draw for every pair of the explicit grid."""
+    h = channel_matrix(ch, tx_cb.geom, rx_cb.geom)
+    signal = math.sqrt(p_t) * rx_cb.weights.conj() @ h @ tx_cb.weights.T
+    noise = rng.standard_normal(signal.shape) + 1j * rng.standard_normal(signal.shape)
+    j, i = np.unravel_index(int(np.argmax(np.abs(signal + math.sqrt(noise_power / 2.0) * noise))), signal.shape)
+    return int(i), int(j)
+
+
+def between_cells(cb, i, j, frac):
+    """Direction frac of the way from azimuth cell i to i + 1, on elevation cell j."""
+    el = math.acos(cb.cos_el_grid[j])
+    u = (1.0 - frac) * cb.sin_az_grid[i] + frac * cb.sin_az_grid[i + 1]
+    return SphericalAngles(math.asin(u / math.sin(el)), el)
+
+
+@pytest.mark.parametrize("miss_probability", [SWEEP_MISS_PROBABILITY, 0.0])
+def test_pruned_sweep_picks_like_the_full_draw(monkeypatch, miss_probability):
+    # Four pairs within about 1.5 noise amplitudes of each other contend
+    # at a peak 12.9 noise amplitudes up, so the pruned rectangle is a
+    # strict subset of the 1024 pairs.  A zero miss probability rejects
+    # every rectangle: the sweep keeps its draws and draws the skipped
+    # pairs once, never redrawing a pair.  Chi-square homogeneity of the
+    # chosen-pair histograms at the 1% level.
+    monkeypatch.setattr(channel, "SWEEP_MISS_PROBABILITY", miss_probability)
+    tx_cb = build_codebook(upa(8), 1)
+    rx_cb = build_codebook(upa(4), 1)
+    ch = ChannelRealization(1.0, between_cells(tx_cb, 3, 4, 0.47), between_cells(rx_cb, 1, 2, 0.485), 3.0)
+    p_t, cells, sweeps = 0.5, len(tx_cb) * len(rx_cb), 3000
+    oracle_rng = np.random.default_rng(1)
+    oracle = [full_draw_best_pair(ch, tx_cb, rx_cb, p_t, 1.0, oracle_rng) for _ in range(sweeps)]
+    counting = CountingNormals(np.random.default_rng(2))
+    pruned = []
+    for _ in range(sweeps):
+        counting.draws.clear()
+        got_tx, got_rx, _ = beam_sweep(ch, tx_cb, rx_cb, p_t, 1.0, counting)
+        pruned.append((tx_cb.steerings.index(got_tx), rx_cb.steerings.index(got_rx)))
+        rect = counting.draws[0]
+        assert counting.draws[:2] == [rect, rect] and rect < cells
+        if miss_probability == 0.0:
+            assert counting.draws[2:] == [cells - rect, cells - rect]
+        else:
+            assert len(counting.draws) == 2
+    # The four contenders, then every other pair pooled.
+    contenders = sorted(set(oracle), key=oracle.count, reverse=True)[:4]
+    table = np.array([
+        [picks.count(c) for c in contenders] + [sum(p not in contenders for p in picks)]
+        for picks in (oracle, pruned)
+    ], dtype=float)
+    table = table[:, table.sum(axis=0) > 0]
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
+    stat = float(((table - expected) ** 2 / expected).sum())
+    critical = {1: 6.635, 2: 9.210, 3: 11.345, 4: 13.277}  # chi-square 1% by dof
+    assert stat < critical[table.shape[1] - 1]
+
+
+def test_high_snr_sweep_draws_a_small_share_of_the_grid():
+    cb = build_codebook(upa(32), 1)
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        ch = ChannelRealization(
+            complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2),
+            random_coverage_angles(rng),
+            random_coverage_angles(rng),
+            3.0,
+        )
+        counting = CountingNormals(rng)
+        beam_sweep(ch, cb, cb, p_t=100.0, noise_power=1.0, rng=counting)
+        assert sum(counting.draws) < 2 * len(cb) ** 2 // 1000
 
 
 # ---------------------------------------------------------------------------

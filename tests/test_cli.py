@@ -128,12 +128,13 @@ def test_bad_flag_value_exits_with_config_error(tmp_path, capsys):
 
 def test_config_checks_run_before_any_output(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(TINY_SWEEP + "table_capacity = 0\n")
     out = tmp_path / "curve.csv"
-    assert main(["sweep-snr", "--config", str(cfg_path), "--out", str(out)]) == 2
-    assert "config error" in capsys.readouterr().err
-    assert not out.exists()
-    assert not (tmp_path / "curve.manifest.json").exists()
+    for bad in ("ftm_sigma_m = 0.01, -0.5", "target_box = 2,0, 0.5,4, -1,1", "table_capacity = 0"):
+        cfg_path.write_text(TINY_SWEEP + bad + "\n")
+        assert main(["sweep-snr", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "curve.manifest.json").exists()
 
     records = tmp_path / "obs.records"
     records.write_text(

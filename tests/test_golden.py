@@ -26,8 +26,8 @@ EXPERIMENT = ExperimentConfig(
 )
 
 EXPERIMENT_SHA256 = {
-    "curve": "87ab41338d0f1bf508e2c6ce9e2cfab82b5ffa139c39456fd1d7cfe8c139d8ba",
-    "raw": "43a2107aa7068252119c74768991534f224cbc9d228533c0b92938262c8caad5",
+    "curve": "d5ad93ab4c0dada1a07a36af19dad3b6aef325c747b3c7ba540508cedd640bf9",
+    "raw": "6db83496c799db92a01da55090f535f31c29bb9c5835cfcd60fa85b72aec20d5",
 }
 
 AUDIT_SHA256 = {

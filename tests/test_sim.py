@@ -204,6 +204,11 @@ def test_config_validation():
         small_cfg(table_capacity=0)
     with pytest.raises(ValueError, match="ap_pos"):
         small_cfg(ap_pos=(1.0, 2.0, 3.0), sta_pos=(1.0, 2.0, 3.0))
+    with pytest.raises(ValueError, match="ftm_sigma_m"):
+        small_cfg(ftm_sigma_m=(0.01, -0.5))
+    for box in (((0.0, 2.0),), ((0.0, 2.0), (0.5, 4.0), (1.0, 1.0)), ((0.0, 2.0), (0.5, 4.0), (-1.0, 1.0, 2.0))):
+        with pytest.raises(ValueError, match="target_box"):
+            small_cfg(target_box=box)
 
 
 def test_upa_lists_broadcast():
