@@ -1,8 +1,10 @@
 """mmWave physical layer: planar arrays, beams, sweeps, refinement.
 
-Models a single-path link between two uniform planar arrays (UPAs).  The
-channel is rank one: a complex gain times the outer product of receive
-and transmit steering vectors.  Angle estimation is simulated two ways:
+Models a single-path link between two uniform planar arrays (UPAs).
+Every array is half-wavelength spaced, so the per-element phase pitch
+is pi and no result depends on the carrier frequency.  The channel is
+rank one: a complex gain times the outer product of receive and
+transmit steering vectors.  Angle estimation is simulated two ways:
 
 * a sweep over a Kronecker-product codebook, taking the
   transmit/receive pair with the highest noisy received power.  Noise
@@ -27,8 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import SphericalAngles
-
-SPEED_OF_LIGHT = 299792458.0
 
 #: Codebook coverage: azimuth within +-60 degrees of broadside.
 AZIMUTH_HALF_SPAN = math.pi / 3.0
@@ -60,40 +60,27 @@ _SWEEP_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class UpaGeometry:
-    """Uniform planar array: n_h x n_v elements on a rectangular grid.
+    """Uniform planar array: n_h x n_v elements, half-wavelength spaced.
 
-    spacing and wavelength are in meters.  The horizontal axis indexes
-    azimuth steering (direction cosine u = sin(az) * sin(el)), the
-    vertical axis elevation steering (v = cos(el)).
+    The horizontal axis indexes azimuth steering (direction cosine
+    u = sin(az) * sin(el)), the vertical axis elevation steering
+    (v = cos(el)).
     """
 
     n_h: int
     n_v: int
-    spacing: float
-    wavelength: float
+
+    #: k * d at half-wavelength spacing: phase advance per element per
+    #: unit direction cosine, the same at every carrier.
+    phase_pitch = math.pi
 
     def __post_init__(self) -> None:
         if self.n_h < 1 or self.n_v < 1:
             raise ValueError("antenna counts must be positive")
-        if not (self.spacing > 0.0 and self.wavelength > 0.0):
-            raise ValueError("spacing and wavelength must be > 0")
-
-    @classmethod
-    def half_wavelength(cls, n_h: int, n_v: int, wavelength: float) -> "UpaGeometry":
-        return cls(n_h, n_v, 0.5 * wavelength, wavelength)
 
     @property
     def n_elements(self) -> int:
         return self.n_h * self.n_v
-
-    @property
-    def wavenumber(self) -> float:
-        return 2.0 * math.pi / self.wavelength
-
-    @property
-    def phase_pitch(self) -> float:
-        """k * d: phase advance per element per unit direction cosine."""
-        return self.wavenumber * self.spacing
 
 
 @dataclass(frozen=True)
@@ -142,47 +129,6 @@ def array_response(geom: UpaGeometry, angles: SphericalAngles) -> np.ndarray:
     return steering_from_cosines(geom, u, v)
 
 
-def channel_matrix(ch: ChannelRealization, tx: UpaGeometry, rx: UpaGeometry) -> np.ndarray:
-    """Rank-one channel: sqrt(N_t N_r) * g * a_rx * a_tx^H."""
-    a_t = array_response(tx, ch.aod)
-    a_r = array_response(rx, ch.aoa)
-    scale = math.sqrt(tx.n_elements * rx.n_elements)
-    return scale * ch.gain * np.outer(a_r, a_t.conj())
-
-
-def _beam_coupling(
-    ch: ChannelRealization,
-    f: np.ndarray,
-    w: np.ndarray,
-    tx: UpaGeometry,
-    rx: UpaGeometry,
-) -> complex:
-    """w^H H f without forming H."""
-    a_t = array_response(tx, ch.aod)
-    a_r = array_response(rx, ch.aoa)
-    scale = math.sqrt(tx.n_elements * rx.n_elements)
-    return scale * ch.gain * complex(np.vdot(w, a_r)) * complex(np.vdot(a_t, f))
-
-
-def received_snr(
-    ch: ChannelRealization,
-    f: np.ndarray,
-    w: np.ndarray,
-    tx: UpaGeometry,
-    rx: UpaGeometry,
-    p_t: float,
-    noise_power: float,
-) -> float:
-    """Post-beamforming SNR, dB: 10 log10(p_t |w^H H f|^2 / noise_power).
-
-    Zero coupling returns -inf.
-    """
-    power = p_t * abs(_beam_coupling(ch, f, w, tx, rx)) ** 2
-    if power <= 0.0:
-        return -math.inf
-    return 10.0 * math.log10(power / noise_power)
-
-
 class Codebook:
     """Beam codebook on a Kronecker product of per-axis steering grids.
 
@@ -210,9 +156,6 @@ class Codebook:
 
     def __len__(self) -> int:
         return self.weights.shape[0]
-
-    def __getitem__(self, i: int) -> tuple[np.ndarray, SphericalAngles]:
-        return self.weights[i], self.steerings[i]
 
     @property
     def az_cell_width(self) -> float:
@@ -375,8 +318,8 @@ def aux_beam_refine(
     noise_power: float,
     rng: np.random.Generator,
     *,
-    other_weights: np.ndarray | None = None,
-    other_geom: UpaGeometry | None = None,
+    other_weights: np.ndarray,
+    other_geom: UpaGeometry,
 ) -> SphericalAngles:
     """Refine one side's coarse beam-training angles with auxiliary beams.
 
@@ -386,11 +329,10 @@ def aux_beam_refine(
     ratio of a pair is inverted through the known array factor to place
     the true coordinate inside the main lobe.  delta_offset is an angle
     in radians; it maps to direction-cosine offsets through the local
-    Jacobian at the coarse angles.  The opposite side keeps a fixed
-    beam (an ideal unit-gain side unless other_weights/other_geom name
-    its actual codeword) so its gain cancels from each ratio.  A
-    coordinate whose both measurements fall
-    at or below the noise floor keeps its coarse value.  The result is
+    Jacobian at the coarse angles.  The opposite side keeps its fixed
+    beam other_weights on the array other_geom, so its gain cancels
+    from each ratio.  A coordinate whose both measurements fall at or
+    below the noise floor keeps its coarse value.  The result is
     clamped to codebook coverage.
     """
     if side not in ("tx", "rx"):
@@ -398,19 +340,13 @@ def aux_beam_refine(
     if delta_offset <= 0.0:
         raise ValueError("delta_offset must be > 0")
 
-    if other_weights is None:
-        # Matched opposite side; its gain cancels from each ratio anyway.
-        other_factor = 1.0 + 0.0j
+    a_other = array_response(other_geom, ch.aoa if side == "tx" else ch.aod)
+    # For side='tx' the other side receives (factor w^H a_r), else it
+    # transmits (factor a_t^H f); each carries its sqrt(n) scale.
+    if side == "tx":
+        other_factor = math.sqrt(other_geom.n_elements) * complex(np.vdot(other_weights, a_other))
     else:
-        if other_geom is None:
-            raise ValueError("other_geom is required with other_weights")
-        a_other = array_response(other_geom, ch.aoa if side == "tx" else ch.aod)
-        # For side='tx' the other side receives (factor w^H a_r), else it
-        # transmits (factor a_t^H f); each carries its sqrt(n) scale.
-        if side == "tx":
-            other_factor = math.sqrt(other_geom.n_elements) * complex(np.vdot(other_weights, a_other))
-        else:
-            other_factor = math.sqrt(other_geom.n_elements) * complex(np.vdot(a_other, other_weights))
+        other_factor = math.sqrt(other_geom.n_elements) * complex(np.vdot(a_other, other_weights))
 
     u0, v0 = direction_cosines(coarse)
     sin_el = math.sin(coarse.elevation)

@@ -260,16 +260,6 @@ def _azimuth(plane: ProjectionPlane, vec: np.ndarray) -> float:
     return math.atan2(y, x)
 
 
-def project(plane: ProjectionPlane, direction: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of a direction onto the plane."""
-    return _shadow(plane, direction)[0]
-
-
-def clockwise_angle(plane: ProjectionPlane, p: np.ndarray, q: np.ndarray) -> float:
-    """Clockwise angle from p to q about the plane normal, in [0, 2*pi)."""
-    return (_azimuth(plane, p) - _azimuth(plane, q)) % TAU
-
-
 def bearing(plane: ProjectionPlane, direction: np.ndarray) -> tuple[float, float]:
     """(azimuth, tilt) of a unit direction seen in the plane.
 

@@ -5,8 +5,9 @@ plus Gaussian noise.  Every sensed path is logged in a bounded table;
 when a new path needs a partner for localization, the table is queried
 for the strongest historical record that is not collinear with the
 current one in the working plane, falling back to a separately kept
-first-path record.  Tables serialize to a line-per-record text format
-that round-trips exactly.
+first-path record.  A single record has a one-line text form
+(format_record / parse_record) that round-trips exactly; parse_records
+reads a file of such lines, skipping blanks and comments.
 """
 
 from __future__ import annotations
@@ -178,29 +179,6 @@ def parse_record(line: str) -> MeasurementRecord:
         timestamp=int(ts),
     )
     return MeasurementRecord(obs, tag)
-
-
-def serialize_table(table: MeasurementTable) -> str:
-    lines = [format_record(rec) for rec in table.records]
-    if table.first_path is not None:
-        lines.append(format_record(table.first_path))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_table(text: str, capacity: int = DEFAULT_CAPACITY) -> MeasurementTable:
-    """Rebuild a table from its serialized form.
-
-    Lines tagged first-path land in the side slot; 'current' records are
-    stored like historical ones, and callers usually pull them back out.
-    See parse_records for raw access.
-    """
-    table = MeasurementTable(capacity)
-    for rec in parse_records(text):
-        if rec.tag == "first-path":
-            table.first_path = rec
-        else:
-            table.add(rec.observation, rec.tag)
-    return table
 
 
 def parse_records(text: str) -> list[MeasurementRecord]:

@@ -29,7 +29,6 @@ from .channel import (
     AZIMUTH_HALF_SPAN,
     ELEVATION_MAX,
     ELEVATION_MIN,
-    SPEED_OF_LIGHT,
     ChannelRealization,
     Codebook,
     UpaGeometry,
@@ -63,13 +62,14 @@ _STREAM_FTM = 3
 
 _SAMPLER_MAX_TRIES = 100000
 
-# Carrier wavelength, meters.  Arrays are half-wavelength spaced, so the
-# phase pitch is pi at any carrier and the carrier never moves a result.
-WAVELENGTH = SPEED_OF_LIGHT / 60e9
-
-
-class EmptyInput(Exception):
-    """An aggregate was requested over zero successful trials."""
+#: Trial status of each partner-selection or solver failure (leaf
+#: exception classes, looked up by exact type).
+_FAILURE_STATUS = {
+    NoUsableHistory: "no_history",
+    Unsolvable: "unsolvable",
+    InconsistentGeometry: "inconsistent_geometry",
+    DegenerateProjection: "degenerate_projection",
+}
 
 
 @dataclass(frozen=True)
@@ -171,9 +171,14 @@ class ExperimentConfig:
                 ProjectionPlane.from_name(name)
             except ValueError as exc:
                 raise ValueError(f"planes: {exc}") from exc
+        for snr in self.snr_db:
+            if math.isnan(snr):
+                raise ValueError("snr_db entries must not be NaN")
         for sigma in self.ftm_sigma_m:
             if not sigma >= 0.0:
                 raise ValueError(f"ftm_sigma_m entries must be >= 0, got {sigma}")
+        if not 0.0 <= self.min_pair_angle < 0.5 * math.pi:
+            raise ValueError(f"min_pair_angle must be in [0, pi/2), got {self.min_pair_angle}")
         box = self.target_box
         if len(box) != 3 or any(len(pair) != 2 or not pair[0] < pair[1] for pair in box):
             raise ValueError(f"target_box must be three (lo, hi) pairs with lo < hi, got {box}")
@@ -360,8 +365,8 @@ def run_trial(
     cfg = cfg.single()
     (tx_pair, rx_pair) = cfg.upa_pairs()[0]
     if codebooks is None:
-        tx_cb = build_codebook(UpaGeometry.half_wavelength(*tx_pair, WAVELENGTH), cfg.oversampling)
-        rx_cb = build_codebook(UpaGeometry.half_wavelength(*rx_pair, WAVELENGTH), cfg.oversampling)
+        tx_cb = build_codebook(UpaGeometry(*tx_pair), cfg.oversampling)
+        rx_cb = build_codebook(UpaGeometry(*rx_pair), cfg.oversampling)
     else:
         tx_cb, rx_cb = codebooks
 
@@ -390,17 +395,8 @@ def run_trial(
         try:
             partner = select_historical(table, obs1, 1, plane=plane)[0]
             result = solve(obs1, partner, plane)
-        except NoUsableHistory:
-            first_failure = first_failure or "no_history"
-            continue
-        except Unsolvable:
-            first_failure = first_failure or "unsolvable"
-            continue
-        except InconsistentGeometry:
-            first_failure = first_failure or "inconsistent_geometry"
-            continue
-        except DegenerateProjection:
-            first_failure = first_failure or "degenerate_projection"
+        except tuple(_FAILURE_STATUS) as exc:
+            first_failure = first_failure or _FAILURE_STATUS[type(exc)]
             continue
         positions.append(localize(result, scenario.sta_pos))
         if scene is None:
@@ -412,14 +408,6 @@ def run_trial(
         return TrialResult(scenario.target1_pos, est, err, scene, realized, "ok")
     nan3 = np.full(3, math.nan)
     return TrialResult(scenario.target1_pos, nan3, math.nan, None, realized, first_failure or "no_history")
-
-
-def mean_distance_error(results: Sequence[TrialResult]) -> float:
-    """Arithmetic mean error over successful trials."""
-    errs = [r.distance_error for r in results if r.status == "ok"]
-    if not errs:
-        raise EmptyInput("no successful trials to average")
-    return float(np.mean(errs))
 
 
 @dataclass(frozen=True)
@@ -502,8 +490,7 @@ def run_experiment(
     def codebook_for(pair: tuple[int, int]) -> Codebook:
         key = (pair[0], pair[1], cfg.oversampling)
         if key not in codebook_cache:
-            geom = UpaGeometry.half_wavelength(pair[0], pair[1], WAVELENGTH)
-            codebook_cache[key] = build_codebook(geom, cfg.oversampling)
+            codebook_cache[key] = build_codebook(UpaGeometry(*pair), cfg.oversampling)
         return codebook_cache[key]
 
     out = ExperimentResult(curve=[], raw=[] if collect_raw else None)

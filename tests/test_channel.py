@@ -21,18 +21,21 @@ from mm3nlos.channel import (
     aux_beam_refine,
     beam_sweep,
     build_codebook,
-    channel_matrix,
     direction_cosines,
-    received_snr,
-    steering_from_cosines,
 )
 from mm3nlos.geom import SphericalAngles
 
-WAVELENGTH = 299792458.0 / 60e9
-
 
 def upa(n_h, n_v=None):
-    return UpaGeometry.half_wavelength(n_h, n_v if n_v is not None else n_h, WAVELENGTH)
+    return UpaGeometry(n_h, n_v if n_v is not None else n_h)
+
+
+def channel_matrix(ch, tx, rx):
+    """Rank-one channel: sqrt(N_t N_r) * g * a_rx * a_tx^H."""
+    a_t = array_response(tx, ch.aod)
+    a_r = array_response(rx, ch.aoa)
+    scale = math.sqrt(tx.n_elements * rx.n_elements)
+    return scale * ch.gain * np.outer(a_r, a_t.conj())
 
 
 def random_coverage_angles(rng):
@@ -52,9 +55,9 @@ def cosine_error(a: SphericalAngles, b: SphericalAngles) -> float:
 
 def test_geometry_validation():
     with pytest.raises(ValueError):
-        UpaGeometry(0, 4, 0.0025, 0.005)
+        UpaGeometry(0, 4)
     with pytest.raises(ValueError):
-        UpaGeometry(4, 4, -1.0, 0.005)
+        UpaGeometry(4, -1)
     g = upa(4, 2)
     assert g.n_elements == 8
     assert math.isclose(g.phase_pitch, math.pi)  # half-wavelength spacing
@@ -104,28 +107,6 @@ def test_channel_matrix_is_rank_one_with_matched_gain():
     # Frobenius norm carries the sqrt(Nt Nr) power scale.
     want = math.sqrt(g_tx.n_elements * g_rx.n_elements) * abs(ch.gain)
     assert math.isclose(float(np.linalg.norm(h)), want, rel_tol=1e-12)
-
-
-def test_received_snr_matched_beams():
-    g_tx, g_rx = upa(8), upa(4)
-    ch = ChannelRealization(0.7 + 0.2j, SphericalAngles(0.3, 1.1), SphericalAngles(0.1, 2.0), 4.0)
-    f = array_response(g_tx, ch.aod)
-    w = array_response(g_rx, ch.aoa)
-    p_t, noise = 50.0, 2.0
-    got = received_snr(ch, f, w, g_tx, g_rx, p_t, noise)
-    want = 10.0 * math.log10(p_t * g_tx.n_elements * g_rx.n_elements * abs(ch.gain) ** 2 / noise)
-    assert math.isclose(got, want, rel_tol=1e-12)
-
-
-def test_received_snr_vanishing_coupling():
-    g = upa(8, 1)
-    ch = ChannelRealization(1.0, SphericalAngles(0.0, math.pi / 2), SphericalAngles(0.0, math.pi / 2), 1.0)
-    zero_gain = ChannelRealization(0.0, ch.aod, ch.aoa, 1.0)
-    f = array_response(g, ch.aod)
-    assert received_snr(zero_gain, f, np.ones(1), g, upa(1, 1), 1.0, 1.0) == -math.inf
-    # Steering one full grating-null offset away cancels the array sum.
-    f_null = steering_from_cosines(g, 2.0 / 8, 0.0)
-    assert received_snr(ch, f_null, np.ones(1), g, upa(1, 1), 1.0, 1.0) < -100.0
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +174,7 @@ def exhaustive_best_pair(ch, tx_cb, rx_cb, p_t):
     best, arg = -math.inf, None
     for i in range(len(tx_cb)):
         for j in range(len(rx_cb)):
-            w, _ = rx_cb[j]
-            f, _ = tx_cb[i]
+            w, f = rx_cb.weights[j], tx_cb.weights[i]
             power = p_t * abs(np.conj(w) @ h @ f) ** 2
             if power > best:
                 best, arg = power, (i, j)
@@ -369,17 +349,23 @@ def test_high_snr_sweep_draws_a_small_share_of_the_grid():
 # ---------------------------------------------------------------------------
 # auxiliary refinement
 
+# A 1x1 opposite side: its fixed beam and its response are both [1], so
+# its coupling factor is exactly 1.
+ONE_ELEMENT_SIDE = dict(
+    other_weights=array_response(UpaGeometry(1, 1), SphericalAngles(0.0, math.pi / 2)),
+    other_geom=UpaGeometry(1, 1),
+)
+
+
 def test_refine_validates_inputs():
     g = upa(8)
     ch = ChannelRealization(1.0, SphericalAngles(0.1, 1.5), SphericalAngles(0.0, 1.5), 1.0)
     coarse = SphericalAngles(0.1, 1.5)
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError):
-        aux_beam_refine(ch, coarse, "uplink", g, 0.01, 1.0, 0.0, rng)
+        aux_beam_refine(ch, coarse, "uplink", g, 0.01, 1.0, 0.0, rng, **ONE_ELEMENT_SIDE)
     with pytest.raises(ValueError):
-        aux_beam_refine(ch, coarse, "tx", g, 0.0, 1.0, 0.0, rng)
-    with pytest.raises(ValueError):
-        aux_beam_refine(ch, coarse, "tx", g, 0.01, 1.0, 0.0, rng, other_weights=np.ones(1))
+        aux_beam_refine(ch, coarse, "tx", g, 0.0, 1.0, 0.0, rng, **ONE_ELEMENT_SIDE)
 
 
 def test_noiseless_refinement_lands_on_the_truth():
@@ -391,7 +377,7 @@ def test_noiseless_refinement_lands_on_the_truth():
         truth = random_coverage_angles(rng)
         ch = ChannelRealization(1.0, truth, SphericalAngles(0.0, math.pi / 2), 2.0)
         coarse, _, _ = beam_sweep(ch, cb, build_codebook(upa(1, 1)), 1.0, 0.0, rng)
-        refined = aux_beam_refine(ch, coarse, "tx", g, delta, 1.0, 0.0, rng)
+        refined = aux_beam_refine(ch, coarse, "tx", g, delta, 1.0, 0.0, rng, **ONE_ELEMENT_SIDE)
         before = cosine_error(coarse, truth)
         after = cosine_error(refined, truth)
         assert after < before
@@ -409,7 +395,7 @@ def test_noisy_refinement_beats_the_codebook_grid_on_average():
         truth = random_coverage_angles(rng)
         ch = ChannelRealization(1.0, truth, SphericalAngles(0.0, math.pi / 2), 2.0)
         coarse, _, _ = beam_sweep(ch, cb, build_codebook(upa(1, 1)), p_t, 1.0, rng)
-        refined = aux_beam_refine(ch, coarse, "tx", g, delta, p_t, 1.0, rng)
+        refined = aux_beam_refine(ch, coarse, "tx", g, delta, p_t, 1.0, rng, **ONE_ELEMENT_SIDE)
         before.append(cosine_error(coarse, truth))
         after.append(cosine_error(refined, truth))
     assert float(np.mean(after)) < 0.5 * float(np.mean(before))
@@ -428,7 +414,7 @@ def test_noise_floor_measurements_keep_the_coarse_beam():
     g = upa(8)
     coarse = SphericalAngles(0.2, 1.4)
     ch = ChannelRealization(0.0, SphericalAngles(0.21, 1.41), SphericalAngles(0.0, 1.5), 1.0)
-    refined = aux_beam_refine(ch, coarse, "tx", g, 0.05, 1.0, 1.0, ZeroNoise())
+    refined = aux_beam_refine(ch, coarse, "tx", g, 0.05, 1.0, 1.0, ZeroNoise(), **ONE_ELEMENT_SIDE)
     assert refined == coarse
 
 
@@ -437,6 +423,6 @@ def test_refinement_stays_inside_coverage():
     rng = np.random.default_rng(17)
     edge = SphericalAngles(AZIMUTH_HALF_SPAN - 1e-3, ELEVATION_MAX - 1e-3)
     ch = ChannelRealization(1.0, edge, SphericalAngles(0.0, math.pi / 2), 1.0)
-    refined = aux_beam_refine(ch, edge, "tx", g, 0.1, 1.0, 0.0, rng)
+    refined = aux_beam_refine(ch, edge, "tx", g, 0.1, 1.0, 0.0, rng, **ONE_ELEMENT_SIDE)
     assert abs(refined.azimuth) <= AZIMUTH_HALF_SPAN + 1e-12
     assert ELEVATION_MIN - 1e-12 <= refined.elevation <= ELEVATION_MAX + 1e-12

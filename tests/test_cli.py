@@ -129,7 +129,10 @@ def test_bad_flag_value_exits_with_config_error(tmp_path, capsys):
 def test_config_checks_run_before_any_output(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     out = tmp_path / "curve.csv"
-    for bad in ("ftm_sigma_m = 0.01, -0.5", "target_box = 2,0, 0.5,4, -1,1", "table_capacity = 0"):
+    for bad in (
+        "ftm_sigma_m = 0.01, -0.5", "target_box = 2,0, 0.5,4, -1,1", "snr_db = nan",
+        "min_pair_angle = 1.6", "min_pair_angle = nan", "table_capacity = 0",
+    ):
         cfg_path.write_text(TINY_SWEEP + bad + "\n")
         assert main(["sweep-snr", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err

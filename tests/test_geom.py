@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from mm3nlos.geom import (
     EPS_COLLINEAR,
+    EPS_PROJECTION,
     DegenerateProjection,
     InconsistentGeometry,
     PathObservation,
@@ -26,11 +27,9 @@ from mm3nlos.geom import (
     angles_from_direction,
     bearing,
     classify_scene,
-    clockwise_angle,
     collinear_gap,
     direction_from_angles,
     localize,
-    project,
     reflex_reduce,
     solve,
 )
@@ -38,6 +37,26 @@ from mm3nlos.geom import (
 TAU = 2.0 * math.pi
 YOZ = ProjectionPlane.from_name("yoz")
 XOY = ProjectionPlane.from_name("xoy")
+
+
+def project(plane, direction):
+    """Oracle: orthogonal projection of a direction onto the plane."""
+    shadow = plane.matrix @ np.asarray(direction, dtype=float)
+    if float(np.linalg.norm(shadow)) < EPS_PROJECTION:
+        raise DegenerateProjection("direction is normal to the projection plane")
+    return shadow
+
+
+def clockwise_angle(plane, p, q):
+    """Oracle: clockwise angle from p to q about the plane normal, in [0, 2*pi)."""
+
+    def azimuth(vec):
+        x, y = plane.coords(vec)
+        if math.hypot(x, y) < EPS_PROJECTION:
+            raise ZeroVector("a (nearly) zero in-plane vector has no angle")
+        return math.atan2(y, x)
+
+    return (azimuth(p) - azimuth(q)) % TAU
 
 
 def observe(ap, sta, target, timestamp=0):

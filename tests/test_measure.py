@@ -18,10 +18,8 @@ from mm3nlos.measure import (
     ftm_distance,
     parse_record,
     parse_records,
-    parse_table,
     record_first_path,
     select_historical,
-    serialize_table,
 )
 
 YOZ = ProjectionPlane.from_name("yoz")
@@ -185,7 +183,7 @@ def test_parse_rejects_malformed_lines():
         parse_record("1,0.1,1.0,0.1,2.0,4.0,10.0,stale")  # unknown tag
 
 
-def test_table_serialization_round_trips_byte_for_byte():
+def test_parse_records_round_trips_a_table_byte_for_byte():
     table = MeasurementTable(capacity=8)
     rng = np.random.default_rng(6)
     for ts in range(5):
@@ -194,34 +192,22 @@ def test_table_serialization_round_trips_byte_for_byte():
             c=float(rng.uniform(1.0, 9.0)), snr=float(rng.normal(15, 5)), ts=ts,
         ))
     record_first_path(table, obs(1.0 / 3.0, 2.0 / 3.0, c=math.pi, snr=-3.25, ts=5))
-    text = serialize_table(table)
-    rebuilt = parse_table(text, capacity=8)
-    assert serialize_table(rebuilt) == text
-    assert rebuilt.first_path is not None
-    assert len(rebuilt) == 5
+    saved = table.records + [table.first_path]
+    text = "\n".join(format_record(rec) for rec in saved) + "\n"
+    rebuilt = parse_records(text)
+    assert rebuilt == saved
+    assert "\n".join(format_record(rec) for rec in rebuilt) + "\n" == text
 
 
-def test_parse_table_skips_comments_and_applies_capacity():
+def test_parse_records_skips_comments_and_blank_lines():
     lines = ["# comment", ""]
     for ts in range(4):
         lines.append(format_record(MeasurementRecord(obs(1.0 + 0.1 * ts, 2.0, ts=ts), "historical")))
-    table = parse_table("\n".join(lines), capacity=2)
-    assert [r.observation.timestamp for r in table.records] == [2, 3]
-    assert len(parse_records("\n".join(lines))) == 4
-
-
-def test_parse_table_keeps_timestamps_increasing():
-    def text(*stamps):
-        return "\n".join(format_record(MeasurementRecord(obs(1.0, 2.0, ts=ts), "historical")) for ts in stamps)
-
-    with pytest.raises(ValueError):
-        parse_table(text(5, 1))
-    with pytest.raises(ValueError):
-        parse_table(text(1, 2, 2))
-
-
-def test_empty_table_serializes_to_an_empty_string():
-    assert serialize_table(MeasurementTable()) == ""
+    lines += ["  ", format_record(MeasurementRecord(obs(0.9, 2.2, ts=4), "first-path"))]
+    records = parse_records("\n".join(lines))
+    assert [r.observation.timestamp for r in records] == [0, 1, 2, 3, 4]
+    assert [r.tag for r in records] == ["historical"] * 4 + ["first-path"]
+    assert parse_records("# only a comment\n\n") == []
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)

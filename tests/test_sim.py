@@ -9,24 +9,19 @@ from mm3nlos.channel import AZIMUTH_HALF_SPAN, ELEVATION_MAX, ELEVATION_MIN, bui
 from mm3nlos.geom import SphericalAngles, direction_from_angles
 from mm3nlos.measure import MIN_DISTANCE
 from mm3nlos.sim import (
-    EmptyInput,
     ExperimentConfig,
     Scenario,
-    TrialResult,
     TrialRng,
     curve_csv_header,
     format_curve_csv,
     format_curve_row,
     format_raw_csv,
     make_scenario_sampler,
-    mean_distance_error,
     run_experiment,
     run_oracle_suite,
     run_trial,
     synthesize_observations,
 )
-
-WAVELENGTH = 299792458.0 / 60e9
 
 
 def small_cfg(**kw):
@@ -124,7 +119,7 @@ def test_on_grid_noiseless_trial_is_exact():
     # Flat scene built so every true angle lies exactly on a codebook cell
     # center of the 8x1 arrays; the sweep then reproduces the angles and
     # the whole pipeline is error-free.
-    cb = build_codebook(UpaGeometry.half_wavelength(8, 1, WAVELENGTH), 1)
+    cb = build_codebook(UpaGeometry(8, 1), 1)
     ap, sta = np.zeros(3), np.array([2.0, 0.0, 0.0])
     t1 = intersect_in_plane(ap, grid_ray(cb, 5, 0.0), sta, grid_ray(cb, 2, math.pi))
     t2 = intersect_in_plane(ap, grid_ray(cb, 3, 0.0), sta, grid_ray(cb, 6, math.pi))
@@ -172,14 +167,6 @@ def test_a_hopeless_scene_fails_as_data():
     assert np.isnan(res.est_position).all()
 
 
-def test_mean_error_skips_failures_and_rejects_empty():
-    ok = TrialResult(np.zeros(3), np.ones(3), 0.5, None, 10.0, "ok")
-    bad = TrialResult(np.zeros(3), np.full(3, np.nan), math.nan, None, 10.0, "no_history")
-    assert mean_distance_error([ok, bad, ok]) == 0.5
-    with pytest.raises(EmptyInput):
-        mean_distance_error([bad])
-
-
 # ---------------------------------------------------------------------------
 # experiment grid
 
@@ -209,6 +196,13 @@ def test_config_validation():
     for box in (((0.0, 2.0),), ((0.0, 2.0), (0.5, 4.0), (1.0, 1.0)), ((0.0, 2.0), (0.5, 4.0), (-1.0, 1.0, 2.0))):
         with pytest.raises(ValueError, match="target_box"):
             small_cfg(target_box=box)
+    with pytest.raises(ValueError, match="snr_db"):
+        small_cfg(snr_db=(20.0, math.nan))
+    for angle in (-0.1, 0.5 * math.pi, 1.6, math.nan):
+        with pytest.raises(ValueError, match="min_pair_angle"):
+            small_cfg(min_pair_angle=angle)
+    for snr in (math.inf, -math.inf):
+        assert small_cfg(snr_db=(snr,)).snr_db == (snr,)
 
 
 def test_upa_lists_broadcast():
