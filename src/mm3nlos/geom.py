@@ -210,8 +210,8 @@ class ProjectionPlane:
     """
 
     def __init__(self, b1, b2) -> None:
-        b1 = np.asarray(b1, dtype=float)
-        b2 = np.asarray(b2, dtype=float)
+        b1 = np.array(b1, dtype=float)
+        b2 = np.array(b2, dtype=float)
         normal = np.cross(b1, b2)
         norm = np.linalg.norm(normal)
         if norm < 1e-12:
@@ -224,14 +224,19 @@ class ProjectionPlane:
         self.matrix = basis @ np.linalg.solve(basis.T @ basis, basis.T)
         self._u1 = b1 / np.linalg.norm(b1)
         self._u2 = np.cross(self.normal, self._u1)
+        # Read-only: bearings memoized per plane (measure) must not go stale.
+        for arr in (self.b1, self.b2, self.normal, self.matrix, self._u1, self._u2):
+            arr.setflags(write=False)
 
-    @classmethod
-    def from_name(cls, name: str) -> "ProjectionPlane":
-        axes = {"x": np.array([1.0, 0, 0]), "y": np.array([0, 1.0, 0]), "z": np.array([0, 0, 1.0])}
-        key = name.strip().lower()
-        if len(key) != 3 or key[1] != "o" or key[0] not in axes or key[2] not in axes or key[0] == key[2]:
-            raise ValueError(f"unknown plane name: {name!r} (expected e.g. 'yoz')")
-        return cls(axes[key[0]], axes[key[2]])
+    @staticmethod
+    def from_name(name: str) -> "ProjectionPlane":
+        """The shared plane spanned by two named axes, e.g. 'yoz'; every
+        call with the same (case- and space-insensitive) name returns the
+        same instance."""
+        try:
+            return _NAMED_PLANES[name.strip().lower()]
+        except KeyError:
+            raise ValueError(f"unknown plane name: {name!r} (expected e.g. 'yoz')") from None
 
     def coords(self, vec: np.ndarray) -> tuple[float, float]:
         """In-plane coordinates of a (projected) vector."""
@@ -239,6 +244,12 @@ class ProjectionPlane:
 
     def __repr__(self) -> str:
         return f"ProjectionPlane(b1={self.b1.tolist()}, b2={self.b2.tolist()})"
+
+
+_AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
+_NAMED_PLANES = {
+    f"{a}o{b}": ProjectionPlane(_AXES[a], _AXES[b]) for a in _AXES for b in _AXES if a != b
+}
 
 
 def _shadow(plane: ProjectionPlane, direction: np.ndarray) -> tuple[np.ndarray, float]:
@@ -286,6 +297,12 @@ def _near_collinear(alpha: float) -> bool:
     return collinear_gap(alpha) <= EPS_COLLINEAR
 
 
+def pair_unsolvable(cw_aod_pair: float, cw_aoa_pair: float) -> bool:
+    """True when both pair angles are within EPS_COLLINEAR of collinear:
+    the scene is code 0 whatever its cross angle."""
+    return _near_collinear(cw_aod_pair) and _near_collinear(cw_aoa_pair)
+
+
 def classify_scene(cw_aod_pair: float, cw_aoa_pair: float, cw_cross: float) -> SceneType:
     """Classify a projected two-path scene from its three clockwise angles.
 
@@ -296,13 +313,11 @@ def classify_scene(cw_aod_pair: float, cw_aoa_pair: float, cw_cross: float) -> S
     collinear.  The six outcomes partition the angle cube.
     """
 
-    ap_col = _near_collinear(cw_aod_pair)
-    sta_col = _near_collinear(cw_aoa_pair)
-    if ap_col and sta_col:
+    if pair_unsolvable(cw_aod_pair, cw_aoa_pair):
         return SceneType(0)
-    if ap_col:
+    if _near_collinear(cw_aod_pair):
         return SceneType(5, "ap")
-    if sta_col:
+    if _near_collinear(cw_aoa_pair):
         return SceneType(5, "sta")
 
     ap_open = cw_aod_pair < math.pi  # clockwise angle in (0, pi)

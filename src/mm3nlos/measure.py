@@ -5,14 +5,19 @@ plus Gaussian noise.  Every sensed path is logged in a bounded table;
 when a new path needs a partner for localization, the table is queried
 for the strongest historical record that is not collinear with the
 current one in the working plane, falling back to a separately kept
-first-path record.  A single record has a one-line text form
-(format_record / parse_record) that round-trips exactly; parse_records
-reads a file of such lines, skipping blanks and comments.
+first-path record.  Each record memoizes its in-plane (departure,
+arrival) azimuths per plane, keyed by the plane object itself (None
+when the record is normal to that plane), so a record is projected
+once per plane however often it is queried; the memo lives on the
+record and goes with it when the record is evicted.  A single record
+has a one-line text form (format_record / parse_record) that
+round-trips exactly; parse_records reads a file of such lines,
+skipping blanks and comments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,8 +28,8 @@ from .geom import (
     ProjectionPlane,
     SphericalAngles,
     bearing,
-    classify_scene,
     direction_from_angles,
+    pair_unsolvable,
 )
 
 #: Lower clamp for noisy distances, meters.
@@ -62,6 +67,8 @@ def ftm_distance(true_length: float, cfg: FtmConfig, rng: np.random.Generator) -
 class MeasurementRecord:
     observation: PathObservation
     tag: str
+    # plane -> (aod_az, aoa_az), or None when the projection is degenerate.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.tag not in _TAGS:
@@ -101,12 +108,16 @@ def record_first_path(table: MeasurementTable, obs: PathObservation) -> None:
     table.first_path = MeasurementRecord(obs, "first-path")
 
 
-def _azimuths(plane: ProjectionPlane, obs: PathObservation) -> tuple[float, float]:
-    """In-plane azimuths of the departure and arrival directions."""
-    return (
-        bearing(plane, direction_from_angles(obs.aod))[0],
-        bearing(plane, direction_from_angles(obs.aoa))[0],
-    )
+def _azimuths(plane: ProjectionPlane, obs: PathObservation) -> tuple[float, float] | None:
+    """In-plane azimuths of the departure and arrival directions, or
+    None when either is normal to the plane."""
+    try:
+        return (
+            bearing(plane, direction_from_angles(obs.aod))[0],
+            bearing(plane, direction_from_angles(obs.aoa))[0],
+        )
+    except DegenerateProjection:
+        return None
 
 
 def select_historical(
@@ -123,24 +134,33 @@ def select_historical(
     records with a direction normal to the plane.  Ties in SNR go to
     the newer record.  When nothing qualifies the first-path record is
     returned instead; NoUsableHistory means not even that exists.
+
+    Each record's azimuths are computed on its first query in a plane
+    and memoized on the record, keyed by the plane object (None marks a
+    record normal to the plane, skipped on every later call).  Named
+    planes are shared instances, so ProjectionPlane.from_name hits the
+    memo; a plane built anew for every call adds one entry per record.
+    The current path is projected on every call.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    try:
-        cur_aod, cur_aoa = _azimuths(plane, current)
-    except DegenerateProjection as exc:
+    cur = _azimuths(plane, current)
+    if cur is None:
         if table.first_path is not None:
             return [table.first_path.observation]
-        raise NoUsableHistory("current observation does not project onto the plane") from exc
+        raise NoUsableHistory("current observation does not project onto the plane")
 
-    cur_cross = (cur_aod - cur_aoa) % TAU
+    cur_aod, cur_aoa = cur
     usable = []
     for rec in table.records:
-        try:
-            aod, aoa = _azimuths(plane, rec.observation)
-        except DegenerateProjection:
+        memo = rec._memo
+        if plane not in memo:
+            memo[plane] = _azimuths(plane, rec.observation)
+        azimuths = memo[plane]
+        if azimuths is None:
             continue  # unusable in this plane
-        if classify_scene((cur_aod - aod) % TAU, (cur_aoa - aoa) % TAU, cur_cross).code != 0:
+        aod, aoa = azimuths
+        if not pair_unsolvable((cur_aod - aod) % TAU, (cur_aoa - aoa) % TAU):
             usable.append(rec.observation)
     usable.sort(key=lambda o: (-o.snr_db, -o.timestamp))
     if usable:

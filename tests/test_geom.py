@@ -30,6 +30,7 @@ from mm3nlos.geom import (
     collinear_gap,
     direction_from_angles,
     localize,
+    pair_unsolvable,
     reflex_reduce,
     solve,
 )
@@ -133,6 +134,16 @@ def test_direction_is_unit_norm():
 def test_plane_from_name_normals():
     np.testing.assert_allclose(YOZ.normal, [1, 0, 0], atol=1e-15)
     np.testing.assert_allclose(XOY.normal, [0, 0, 1], atol=1e-15)
+
+
+def test_named_planes_are_shared_and_read_only():
+    assert ProjectionPlane.from_name(" YOZ ") is ProjectionPlane.from_name("yoz")
+    for arr in (YOZ.b1, YOZ.b2, YOZ.normal, YOZ.matrix):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    basis = np.array([1.0, 0.0, 0.0])
+    ProjectionPlane(basis, [0.0, 1.0, 0.0])
+    basis[0] = 2.0  # the plane keeps its own copy; the caller's array stays writable
 
 
 @pytest.mark.parametrize("name", ["abc", "yy", "xox", "xy", "", "xoyz"])
@@ -244,6 +255,31 @@ def test_classify_partitions_the_angle_cube(aod, aoa, cross):
         assert scene.collinear_with == ("ap" if ap_col else "sta")
     else:
         assert scene.code in (1, 2, 3, 4)
+
+
+# Clockwise angles 0.5 and 2 EPS_COLLINEAR off 0, pi and 2 pi, inside [0, 2 pi).
+NEAR_COLLINEAR = [
+    a for base in (0.0, math.pi, TAU) for off in (-0.5, 0.5, -2.0, 2.0)
+    if 0.0 <= (a := base + off * EPS_COLLINEAR) < TAU
+]
+pair_angle = st.one_of(st.floats(0.0, TAU, exclude_max=True), st.sampled_from(NEAR_COLLINEAR))
+
+
+@given(aod=pair_angle, aoa=pair_angle, cross=st.floats(0.0, TAU, exclude_max=True))
+def test_pair_unsolvable_is_scene_code_zero(aod, aoa, cross):
+    assert pair_unsolvable(aod, aoa) == (classify_scene(aod, aoa, cross).code == 0)
+
+
+def test_pair_unsolvable_at_the_collinear_tolerance():
+    inside = [a for a in NEAR_COLLINEAR if collinear_gap(a) < EPS_COLLINEAR]
+    outside = [a for a in NEAR_COLLINEAR if collinear_gap(a) > EPS_COLLINEAR]
+    assert len(inside) == len(outside) == 4
+    for aod in NEAR_COLLINEAR + [0.0, math.pi, 1.0]:
+        for aoa in NEAR_COLLINEAR + [0.0, math.pi, 4.0]:
+            for cross in (0.0, 1.0, math.pi, 4.0):
+                assert pair_unsolvable(aod, aoa) == (classify_scene(aod, aoa, cross).code == 0)
+    assert all(pair_unsolvable(a, b) for a in inside for b in inside)
+    assert not any(pair_unsolvable(a, b) or pair_unsolvable(b, a) for a in outside for b in inside + outside)
 
 
 def test_scene_type_validation():

@@ -1,6 +1,7 @@
 """Ranging noise, table bookkeeping, partner selection, serialization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mm3nlos.geom import PathObservation, ProjectionPlane, SphericalAngles
+from mm3nlos import measure
 from mm3nlos.measure import (
     MIN_DISTANCE,
     FtmConfig,
@@ -23,6 +25,9 @@ from mm3nlos.measure import (
 )
 
 YOZ = ProjectionPlane.from_name("yoz")
+XOY = ProjectionPlane.from_name("xoy")
+# Along +x: normal to the yz plane, in the xy plane.
+ALONG_X = SphericalAngles(0.0, math.pi / 2)
 
 
 def obs(aod_el, aoa_el, c=4.0, snr=10.0, ts=0, aod_az=math.pi / 2, aoa_az=math.pi / 2):
@@ -164,6 +169,72 @@ def test_degenerate_current_projection_uses_the_first_path():
         select_historical(table, current, k=1, plane=YOZ)
     record_first_path(table, obs(1.5, 2.5, ts=2))
     assert select_historical(table, current, k=1, plane=YOZ)[0].timestamp == 2
+
+
+def random_obs(rng, ts):
+    def direction():
+        return SphericalAngles(float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(0.2, math.pi - 0.2)))
+
+    return PathObservation(direction(), direction(), float(rng.uniform(1.0, 9.0)), float(rng.normal(15, 5)), ts)
+
+
+def test_evicted_and_re_added_records_select_like_a_fresh_table():
+    rng = np.random.default_rng(11)
+    history = [random_obs(rng, ts) for ts in range(12)]
+    history[1] = PathObservation(ALONG_X, ALONG_X, 3.0, 40.0, 1)
+    # Currents include copies of history records: collinear with them on both sides.
+    currents = [random_obs(rng, 100 + i) for i in range(6)]
+    currents += [replace(history[i], timestamp=200 + i) for i in (2, 5, 9)]
+    table = MeasurementTable(capacity=8)
+    added = []
+    for o in history:
+        table.add(o)
+        added.append(table.records[-1])
+        for plane in (YOZ, XOY):
+            select_historical(table, currents[0], 1, plane=plane)
+    assert [r.observation.timestamp for r in table.records] == list(range(4, 12))
+    # Put the evicted records back, memos and all, ahead of the newest four.
+    table.records = added[:4] + table.records[-4:]
+    assert all(set(rec._memo) == {YOZ, XOY} for rec in table.records)
+    assert table.records[1]._memo[YOZ] is None
+    fresh = MeasurementTable(capacity=8)
+    for rec in table.records:
+        fresh.add(rec.observation)
+    for plane in (YOZ, XOY):
+        for k in (1, 3):
+            for cur in currents:
+                assert select_historical(table, cur, k, plane=plane) == select_historical(fresh, cur, k, plane=plane)
+
+
+def test_rebuilt_named_plane_memoizes_one_entry_per_record():
+    rng = np.random.default_rng(12)
+    table = MeasurementTable()
+    for ts in range(10):
+        table.add(random_obs(rng, ts))
+    current = random_obs(rng, 99)
+    first = select_historical(table, current, 3, plane=ProjectionPlane.from_name("yoz"))
+    for _ in range(999):
+        assert select_historical(table, current, 3, plane=ProjectionPlane.from_name("yoz")) == first
+    assert [len(rec._memo) for rec in table.records] == [1] * len(table)
+
+
+def test_record_normal_to_the_plane_is_memoized_as_none_and_skipped(monkeypatch):
+    table = MeasurementTable()
+    table.add(PathObservation(ALONG_X, ALONG_X, 3.0, 50.0, 1))  # strongest, but unusable in yoz
+    table.add(obs(1.4, 2.5, snr=5.0, ts=2))
+    current = obs(1.0, 2.0, ts=9)
+    projected = []
+
+    def counting(plane, o):
+        projected.append(o.timestamp)
+        return azimuths(plane, o)
+
+    azimuths = measure._azimuths
+    monkeypatch.setattr(measure, "_azimuths", counting)
+    for _ in range(3):
+        assert [p.timestamp for p in select_historical(table, current, k=3, plane=YOZ)] == [2]
+        assert table.records[0]._memo == {YOZ: None}
+    assert projected == [9, 1, 2, 9, 9]
 
 
 # ---------------------------------------------------------------------------
