@@ -13,7 +13,9 @@ statistics into CSV-ready rows.
 Randomness is split into four named substreams per trial (scenario,
 channel, sweep, ftm), each seeded by (seed, trial, stream).  Grid points
 therefore share scenes, channel gains, and ranging noise, which pairs
-their comparisons and pins every output byte for a given seed.
+their comparisons and pins every output byte for a given seed.  Each
+trial's scene is sampled once, at the first grid point, and shared by
+every later grid point.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .channel import (
 from .geom import (
     TAU,
     DegenerateProjection,
+    GeomError,
     InconsistentGeometry,
     PathObservation,
     ProjectionPlane,
@@ -61,6 +64,10 @@ _STREAM_SWEEP = 2
 _STREAM_FTM = 3
 
 _SAMPLER_MAX_TRIES = 100000
+
+#: Margin (rad) by which the sampler's pre-reject needs a direction to lie
+#: outside the coverage sector before it drops a candidate.
+_PRE_REJECT_SLACK = 1e-9
 
 #: Trial status of each partner-selection or solver failure (leaf
 #: exception classes, looked up by exact type).
@@ -255,6 +262,21 @@ def _in_coverage(local: SphericalAngles) -> bool:
     )
 
 
+def _surely_uncovered(dx: float, dy: float, dz: float, yaw: float) -> bool:
+    """Whether direction (dx, dy, dz) is outside the coverage sector of a
+    terminal yawed by yaw, by more than _PRE_REJECT_SLACK.
+
+    Plain-math screen for the sampler: True only for directions that
+    ``_in_coverage(_to_local(angles_from_direction(d), yaw))`` rejects.
+    The azimuth margin also covers the rounding of subtracting the yaw.
+    """
+    el = math.atan2(math.hypot(dx, dy), dz)
+    if el < ELEVATION_MIN - _PRE_REJECT_SLACK or el > ELEVATION_MAX + _PRE_REJECT_SLACK:
+        return True
+    az_limit = AZIMUTH_HALF_SPAN + _PRE_REJECT_SLACK + 4.0 * math.ulp(abs(yaw) + TAU)
+    return abs(_wrap_angle(math.atan2(dy, dx) - yaw)) > az_limit
+
+
 def make_scenario_sampler(cfg: ExperimentConfig) -> Callable[[np.random.Generator], Scenario]:
     """Uniform reflector placement in the config box, rejecting scenes
     that are out of angular coverage or degenerate on the primary plane.
@@ -262,9 +284,21 @@ def make_scenario_sampler(cfg: ExperimentConfig) -> Callable[[np.random.Generato
     Degenerate means: a direction (nearly) normal to the plane, or a
     projected pair angle within min_pair_angle of collinear, where the
     solution is unstable under measurement noise.
+
+    Each attempt draws six scalar uniforms (reflector 1, then reflector
+    2).  Most attempts fail coverage, so a plain-math pre-reject
+    (``_surely_uncovered``) drops a candidate first when one of its four
+    directions lies outside the sector by more than _PRE_REJECT_SLACK
+    (1e-9 rad).  The exact chain below computes the same angles to
+    within about 1e-14 rad, so a pre-rejected candidate would fail its
+    coverage check too: the pre-reject only skips work, and the accepted
+    scene and the generator state after each call are those of the exact
+    checks alone.
     """
     ap = np.asarray(cfg.ap_pos, dtype=float)
     sta = np.asarray(cfg.sta_pos, dtype=float)
+    ap_x, ap_y, ap_z = (float(c) for c in ap)
+    sta_x, sta_y, sta_z = (float(c) for c in sta)
     plane = ProjectionPlane.from_name(cfg.planes[0])
     ap_yaw = math.radians(cfg.ap_yaw_deg)
     sta_yaw = math.radians(cfg.sta_yaw_deg)
@@ -272,8 +306,17 @@ def make_scenario_sampler(cfg: ExperimentConfig) -> Callable[[np.random.Generato
 
     def sample(rng: np.random.Generator) -> Scenario:
         for _ in range(_SAMPLER_MAX_TRIES):
-            t1 = np.array([rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi), rng.uniform(z_lo, z_hi)])
-            t2 = np.array([rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi), rng.uniform(z_lo, z_hi)])
+            x1, y1, z1 = rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi), rng.uniform(z_lo, z_hi)
+            x2, y2, z2 = rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi), rng.uniform(z_lo, z_hi)
+            if (
+                _surely_uncovered(x1 - ap_x, y1 - ap_y, z1 - ap_z, ap_yaw)
+                or _surely_uncovered(x1 - sta_x, y1 - sta_y, z1 - sta_z, sta_yaw)
+                or _surely_uncovered(x2 - ap_x, y2 - ap_y, z2 - ap_z, ap_yaw)
+                or _surely_uncovered(x2 - sta_x, y2 - sta_y, z2 - sta_z, sta_yaw)
+            ):
+                continue
+            t1 = np.array([x1, y1, z1])
+            t2 = np.array([x2, y2, z2])
             if min(
                 float(np.linalg.norm(t1 - t2)),
                 float(np.linalg.norm(t1 - ap)),
@@ -482,7 +525,10 @@ def run_experiment(
 
     Scenario, channel, and ranging substreams depend only on (seed,
     trial), so every grid point sees the same scenes, gains, and
-    ranging noise draws.
+    ranging noise draws.  Trial t's scene is sampled from its scenario
+    stream the first time the trial loop reaches it and reused by every
+    later grid point, so the sampler (``scenario_sampler`` included) is
+    called once per trial, not once per grid point and trial.
     """
     sampler = scenario_sampler or make_scenario_sampler(cfg)
     codebook_cache: dict[tuple[int, int, int], Codebook] = {}
@@ -493,6 +539,7 @@ def run_experiment(
             codebook_cache[key] = build_codebook(UpaGeometry(*pair), cfg.oversampling)
         return codebook_cache[key]
 
+    scenes: list[Scenario] = []
     out = ExperimentResult(curve=[], raw=[] if collect_raw else None)
     grid = [
         (pair, snr, sigma, mode)
@@ -513,8 +560,9 @@ def run_experiment(
         results = []
         for trial in range(cfg.trials):
             rng = TrialRng.from_seed(cfg.seed, trial)
-            scenario = sampler(rng.scenario)
-            results.append(run_trial(point_cfg, scenario, rng, codebooks=books))
+            if trial == len(scenes):
+                scenes.append(sampler(rng.scenario))
+            results.append(run_trial(point_cfg, scenes[trial], rng, codebooks=books))
         out.curve.append(_aggregate(point_cfg, results))
         if collect_raw:
             out.raw.extend(results)
@@ -595,7 +643,7 @@ def run_oracle_suite(seed: int = 0, scenes: int = 500) -> list[tuple[str, bool, 
         obs1, obs2 = synthesize_observations(s)
         try:
             res = solve(obs1, obs2, ProjectionPlane.from_name(s.plane_name))
-        except Exception:
+        except GeomError:
             failures += 1
             continue
         err = float(np.linalg.norm(localize(res, s.sta_pos) - s.target1_pos))
@@ -619,7 +667,7 @@ def run_oracle_suite(seed: int = 0, scenes: int = 500) -> list[tuple[str, bool, 
         err = float(np.linalg.norm(localize(res, sta) - t1))
         ok = res.scene.code == 5 and res.scene.collinear_with == "ap" and err < 1e-6
         detail = f"scene {res.scene.code}/{res.scene.collinear_with}, error {err:.3e} m"
-    except Exception as exc:
+    except GeomError as exc:
         ok, detail = False, f"raised {type(exc).__name__}"
     out.append(("collinear-pair round-trip", ok, detail))
 
@@ -641,7 +689,7 @@ def run_oracle_suite(seed: int = 0, scenes: int = 500) -> list[tuple[str, bool, 
         want = float(np.linalg.norm(s.target1_pos - s.sta_pos))
         try:
             res = solve(obs1, los, ProjectionPlane.from_name("xoy"))
-        except Exception:
+        except GeomError:
             bad += 1
             continue
         worst_rel = max(worst_rel, abs(res.distance - want) / want)

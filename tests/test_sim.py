@@ -1,17 +1,33 @@
 """End-to-end trial, experiment grid, and reproducibility tests."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mm3nlos import sim
 from mm3nlos.channel import AZIMUTH_HALF_SPAN, ELEVATION_MAX, ELEVATION_MIN, build_codebook, UpaGeometry
-from mm3nlos.geom import SphericalAngles, direction_from_angles
+from mm3nlos.geom import (
+    TAU,
+    DegenerateProjection,
+    ProjectionPlane,
+    SphericalAngles,
+    angles_from_direction,
+    bearing,
+    collinear_gap,
+    direction_from_angles,
+)
 from mm3nlos.measure import MIN_DISTANCE
 from mm3nlos.sim import (
     ExperimentConfig,
     Scenario,
     TrialRng,
+    _in_coverage,
+    _surely_uncovered,
+    _to_local,
     curve_csv_header,
     format_curve_csv,
     format_curve_row,
@@ -92,6 +108,185 @@ def test_sampler_respects_box_coverage_and_degeneracy_guards():
                 az = (math.atan2(d[1], d[0]) - yaw + math.pi) % (2 * math.pi) - math.pi
                 assert abs(az) <= AZIMUTH_HALF_SPAN + 1e-12
                 assert ELEVATION_MIN - 1e-12 <= el <= ELEVATION_MAX + 1e-12
+
+
+def reference_scenario_sampler(cfg, max_tries=sim._SAMPLER_MAX_TRIES):
+    """The scalar rejection sampler without its pre-reject: every attempt
+    runs the full chain of distance, coverage and degeneracy checks."""
+    ap = np.asarray(cfg.ap_pos, dtype=float)
+    sta = np.asarray(cfg.sta_pos, dtype=float)
+    plane = ProjectionPlane.from_name(cfg.planes[0])
+    ap_yaw = math.radians(cfg.ap_yaw_deg)
+    sta_yaw = math.radians(cfg.sta_yaw_deg)
+    (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = cfg.target_box
+
+    def sample(rng):
+        for _ in range(max_tries):
+            t1 = np.array([rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi), rng.uniform(z_lo, z_hi)])
+            t2 = np.array([rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi), rng.uniform(z_lo, z_hi)])
+            if min(
+                float(np.linalg.norm(t1 - t2)),
+                float(np.linalg.norm(t1 - ap)),
+                float(np.linalg.norm(t1 - sta)),
+                float(np.linalg.norm(t2 - ap)),
+                float(np.linalg.norm(t2 - sta)),
+            ) < 1e-3:
+                continue
+            dirs = {
+                "aod1": t1 - ap, "aod2": t2 - ap,
+                "aoa1": t1 - sta, "aoa2": t2 - sta,
+            }
+            units = {k: v / np.linalg.norm(v) for k, v in dirs.items()}
+            covered = all(
+                _in_coverage(_to_local(angles_from_direction(v), ap_yaw if k.startswith("aod") else sta_yaw))
+                for k, v in units.items()
+            )
+            if not covered:
+                continue
+            try:
+                az = {k: bearing(plane, v)[0] for k, v in units.items()}
+            except DegenerateProjection:
+                continue
+            aod_pair = (az["aod1"] - az["aod2"]) % TAU
+            aoa_pair = (az["aoa1"] - az["aoa2"]) % TAU
+            if min(collinear_gap(aod_pair), collinear_gap(aoa_pair)) < cfg.min_pair_angle:
+                continue
+            return Scenario(ap, sta, t1, t2, cfg.planes[0])
+        raise RuntimeError("scenario sampler exhausted its rejection budget")
+
+    return sample
+
+
+def assert_samplers_agree(cfg, seed, scenes, max_tries=sim._SAMPLER_MAX_TRIES):
+    """Both samplers on twin generators: the same scenes, the same generator
+    state after every call, and the same exhaustion."""
+    with mock.patch.object(sim, "_SAMPLER_MAX_TRIES", max_tries):
+        fast = make_scenario_sampler(cfg)
+        slow = reference_scenario_sampler(cfg, max_tries)
+        rng_fast, rng_slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(scenes):
+            try:
+                want = slow(rng_slow)
+            except RuntimeError:
+                with pytest.raises(RuntimeError, match="rejection budget"):
+                    fast(rng_fast)
+                assert rng_fast.bit_generator.state == rng_slow.bit_generator.state
+                return
+            got = fast(rng_fast)
+            np.testing.assert_array_equal(got.target1_pos, want.target1_pos)
+            np.testing.assert_array_equal(got.target2_pos, want.target2_pos)
+            assert got.plane_name == want.plane_name
+            assert rng_fast.bit_generator.state == rng_slow.bit_generator.state
+
+
+def test_sampler_matches_the_scalar_reference_on_a_shared_stream():
+    assert_samplers_agree(ExperimentConfig(), seed=8, scenes=400)
+
+
+@st.composite
+def sampler_configs(draw):
+    # The default layout (AP and STA on a baseline, arrays facing each
+    # other, the box beside the baseline) with drawn sizes, offsets and
+    # yaw errors, turned by a multiple of 90 degrees about z so the box
+    # stays axis-aligned.
+    length = draw(st.floats(0.5, 4.0))
+    x_lo = length * draw(st.floats(-0.1, 0.5))
+    y_lo = length * draw(st.floats(-0.5, 0.5))
+    z_lo = length * draw(st.floats(-0.8, 0.2))
+    box = (
+        (x_lo, x_lo + length * draw(st.floats(0.3, 1.0))),
+        (y_lo, y_lo + length * draw(st.floats(0.2, 2.0))),
+        (z_lo, z_lo + length * draw(st.floats(0.2, 1.5))),
+    )
+    quarter = draw(st.integers(0, 3))
+    ox, oy, oz = (draw(st.floats(-3.0, 3.0)) for _ in range(3))
+
+    def turn(x, y):
+        for _ in range(quarter):
+            x, y = -y, x
+        return x, y
+
+    corners = [turn(x, y) for x in box[0] for y in box[1]]
+    xs, ys = [x + ox for x, _ in corners], [y + oy for _, y in corners]
+    sta_x, sta_y = turn(length, 0.0)
+    return ExperimentConfig(
+        ap_pos=(ox, oy, oz),
+        sta_pos=(sta_x + ox, sta_y + oy, oz + draw(st.floats(-0.5, 0.5))),
+        ap_yaw_deg=90.0 * quarter + draw(st.floats(-20.0, 20.0)),
+        sta_yaw_deg=180.0 + 90.0 * quarter + draw(st.floats(-20.0, 20.0)),
+        target_box=((min(xs), max(xs)), (min(ys), max(ys)), (box[2][0] + oz, box[2][1] + oz)),
+        planes=(draw(st.sampled_from(["yoz", "xoy", "xoz", "zoy", "yox", "zox"])),),
+        min_pair_angle=draw(st.floats(0.0, 0.1)),
+    )
+
+
+edge_boxes = st.sampled_from([
+    # The default box, and boxes straddling one coverage edge of the
+    # default AP/STA pair: the elevation cones (|z| = horizontal distance)
+    # and the azimuth wedges (60 degrees off each broadside).
+    ((0.0, 2.0), (0.5, 4.0), (-1.0, 1.0)),
+    ((0.2, 0.8), (0.5, 1.5), (0.3, 1.2)),
+    ((0.9, 1.1), (-0.2, 0.4), (-0.3, 0.3)),
+    ((0.2, 1.8), (0.2, 1.0), (-0.2, 0.2)),
+    ((1.2, 1.8), (-1.5, -0.5), (-1.2, -0.3)),
+])
+
+
+@settings(max_examples=40)
+@given(cfg=sampler_configs(), seed=st.integers(0, 2**32 - 1))
+def test_sampler_matches_the_scalar_reference_for_drawn_configs(cfg, seed):
+    assert_samplers_agree(cfg, seed, scenes=20, max_tries=400)
+
+
+@settings(max_examples=30)
+@given(
+    box=edge_boxes,
+    ap_yaw=st.sampled_from([0.0, -5.0, 3.0]),
+    sta_yaw=st.sampled_from([180.0, 175.0, -178.0]),
+    plane=st.sampled_from(["yoz", "xoy", "xoz"]),
+    min_pair_angle=st.floats(0.0, 0.3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampler_matches_the_scalar_reference_on_boxes_straddling_coverage(
+    box, ap_yaw, sta_yaw, plane, min_pair_angle, seed
+):
+    cfg = ExperimentConfig(
+        target_box=box, ap_yaw_deg=ap_yaw, sta_yaw_deg=sta_yaw, planes=(plane,),
+        min_pair_angle=min_pair_angle,
+    )
+    assert_samplers_agree(cfg, seed, scenes=20, max_tries=400)
+
+
+def test_pre_reject_never_drops_a_direction_at_the_coverage_edges():
+    # Directions exactly on each edge of the sector, one ulp and 1e-12 rad
+    # to either side, seen from both terminals under both yaws.
+    def around(edge):
+        return [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf),
+                edge - 1e-12, edge + 1e-12]
+
+    azimuths = around(-AZIMUTH_HALF_SPAN) + around(AZIMUTH_HALF_SPAN) + [0.0]
+    elevations = around(ELEVATION_MIN) + around(ELEVATION_MAX) + [0.5 * math.pi]
+    checked = 0
+    for terminal in (np.zeros(3), np.array([2.0, 0.0, 0.0])):
+        for yaw in (0.0, math.pi):
+            for az in azimuths:
+                for el in elevations:
+                    for r in (0.37, 1.0, 3.0):
+                        target = terminal + r * direction_from_angles(SphericalAngles(az + yaw, el))
+                        d = target - terminal
+                        screened = _surely_uncovered(float(d[0]), float(d[1]), float(d[2]), yaw)
+                        for v in (d, d / np.linalg.norm(d)):
+                            if _in_coverage(_to_local(angles_from_direction(v), yaw)):
+                                checked += 1
+                                assert not screened, (terminal, yaw, az, el, r)
+                    # Clearly outside the sector, the pre-reject does fire.
+                    for off_az, off_el in ((az * (1 + 1e-6), el), (az, el * (1 + 1e-6))):
+                        if abs(off_az) > AZIMUTH_HALF_SPAN + 1e-7 or not (
+                            ELEVATION_MIN - 1e-7 <= off_el <= ELEVATION_MAX + 1e-7
+                        ):
+                            d = direction_from_angles(SphericalAngles(off_az + yaw, off_el))
+                            assert _surely_uncovered(float(d[0]), float(d[1]), float(d[2]), yaw)
+    assert checked > 0
 
 
 def test_sampler_is_a_pure_function_of_the_stream():
@@ -230,6 +425,23 @@ def test_every_grid_point_sees_the_same_scenes():
         np.testing.assert_array_equal(a.true_position, b.true_position)
 
 
+def test_each_trial_is_sampled_once_for_the_whole_grid():
+    cfg = small_cfg(ftm_sigma_m=(0.0, 0.005, 0.01, 0.02, 0.05), trials=3, seed=4)
+    sample = make_scenario_sampler(cfg)
+    calls = []
+
+    def counting(rng):
+        calls.append(rng)
+        return sample(rng)
+
+    out = run_experiment(cfg, counting, collect_raw=True)
+    assert len(calls) == cfg.trials
+    assert len(out.curve) == 5
+    for i, r in enumerate(out.raw):
+        want = sample(TrialRng.from_seed(cfg.seed, i % cfg.trials).scenario)
+        np.testing.assert_array_equal(r.true_position, want.target1_pos)
+
+
 def test_progress_callback_sees_every_row():
     cfg = small_cfg(snr_db=(0.0, 20.0), trials=2)
     seen = []
@@ -284,3 +496,14 @@ def test_oracle_suite_is_green():
     results = run_oracle_suite(seed=1, scenes=60)
     assert [name for name, ok, _ in results if not ok] == []
     assert len(results) == 3
+
+
+def test_oracle_suite_lets_programmer_errors_escape(monkeypatch):
+    # Only geometry failures count as failed round trips; anything else is
+    # a bug and must surface.
+    def broken_solve(*args, **kwargs):
+        raise TypeError("broken solver")
+
+    monkeypatch.setattr(sim, "solve", broken_solve)
+    with pytest.raises(TypeError, match="broken solver"):
+        run_oracle_suite(seed=1, scenes=2)
