@@ -14,6 +14,12 @@ transmit steering vectors.  Angle estimation is simulated two ways:
 * an auxiliary-beam refinement step that steers two beams slightly off
   the coarse estimate per angular coordinate and inverts the measured
   power ratio through the array factor (amplitude-comparison monopulse).
+  It builds no vectors: the coupling of two Kronecker steerings is the
+  product of two per-axis Dirichlet sums, so each probe's complex
+  amplitude comes straight from direction-cosine offsets, the opposite
+  side's fixed beam is given by its steering angles, and each ratio is
+  inverted by a safeguarded Newton iteration on the analytic slope of
+  the log array factor.
 
 Directions use the global azimuth/elevation convention of
 :mod:`mm3nlos.geom`; arrays are addressed in their own local frame, so
@@ -25,10 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .geom import SphericalAngles
+from .geom import TAU, SphericalAngles
 
 #: Codebook coverage: azimuth within +-60 degrees of broadside.
 AZIMUTH_HALF_SPAN = math.pi / 3.0
@@ -42,6 +49,9 @@ ELEVATION_MAX = 3.0 * math.pi / 4.0
 _MAINLOBE_FRACTION = 0.95
 
 _TINY_POWER = 1e-300
+
+# Step cap of the safeguarded Newton inverse; it converges in a handful.
+_NEWTON_MAX_STEPS = 60
 
 #: Pruned sweep: pairs whose signal amplitude is more than this many
 #: noise amplitudes sqrt(noise_power) below the peak get no noise draw
@@ -106,16 +116,12 @@ def direction_cosines(angles: SphericalAngles) -> tuple[float, float]:
     )
 
 
-def steering_from_cosines(geom: UpaGeometry, u: float, v: float) -> np.ndarray:
-    """Unit-norm weight vector with phase -k*d*(p*u + q*v) at element (p, q).
+def _axis_steering(n: int, pitch: float, cosine) -> np.ndarray:
+    """Unit-norm phase ramp exp(-j * pitch * cosine * p) / sqrt(n), p < n.
 
-    (u, v) need not come from a physical direction; auxiliary beams may
-    step slightly outside the reachable direction-cosine disk.
+    cosine may be a column of direction cosines, one ramp per row.
     """
-    pitch = geom.phase_pitch
-    h = np.exp(-1j * pitch * u * np.arange(geom.n_h)) / math.sqrt(geom.n_h)
-    w = np.exp(-1j * pitch * v * np.arange(geom.n_v)) / math.sqrt(geom.n_v)
-    return np.kron(h, w)
+    return np.exp(-1j * pitch * cosine * np.arange(n)) / math.sqrt(n)
 
 
 def array_response(geom: UpaGeometry, angles: SphericalAngles) -> np.ndarray:
@@ -126,7 +132,9 @@ def array_response(geom: UpaGeometry, angles: SphericalAngles) -> np.ndarray:
     p * n_v + q.
     """
     u, v = direction_cosines(angles)
-    return steering_from_cosines(geom, u, v)
+    h = _axis_steering(geom.n_h, geom.phase_pitch, u)
+    w = _axis_steering(geom.n_v, geom.phase_pitch, v)
+    return (h[:, None] * w).ravel()
 
 
 class Codebook:
@@ -149,9 +157,8 @@ class Codebook:
         # Row k equals array_response(geom, steerings[k]) bit for bit: one
         # exp per axis over all codewords, then one outer product.
         cosines = np.array([direction_cosines(ang) for ang in self.steerings])
-        pitch = geom.phase_pitch
-        h = np.exp(-1j * pitch * cosines[:, :1] * np.arange(geom.n_h)) / math.sqrt(geom.n_h)
-        w = np.exp(-1j * pitch * cosines[:, 1:] * np.arange(geom.n_v)) / math.sqrt(geom.n_v)
+        h = _axis_steering(geom.n_h, geom.phase_pitch, cosines[:, :1])
+        w = _axis_steering(geom.n_v, geom.phase_pitch, cosines[:, 1:])
         self.weights = (h[:, :, None] * w[:, None, :]).reshape(len(self.steerings), geom.n_elements)
 
     def __len__(self) -> int:
@@ -253,13 +260,40 @@ def beam_sweep(
     return tx_cb.steerings[int(i)], rx_cb.steerings[int(j)], snr_db
 
 
-def _array_factor_sq(n: int, pitch: float, offset: float) -> float:
-    """|sin(n x)/ (n sin x)|^2 at x = pitch * offset / 2 (power gain)."""
-    x = 0.5 * pitch * offset
-    s = math.sin(x)
+def _array_gain(n: int, t: float) -> float:
+    """sin(n t) / (n sin t): the real array factor of n elements at half
+    their per-element phase step, t.  Where |sin t| < 1e-12 it is 1, the
+    limit at t = 0; callers keep |t| <= pi/2 or square the result."""
+    s = math.sin(t)
     if abs(s) < 1e-12:
         return 1.0
-    val = math.sin(n * x) / (n * s)
+    return math.sin(n * t) / (n * s)
+
+
+def _dirichlet(n: int, x: float) -> complex:
+    """(1/n) sum_{p<n} exp(j p x) = exp(j (n-1) x/2) sin(n x/2) / (n sin(x/2)).
+
+    The normalised coupling of two steering ramps on one axis, x their
+    phase difference per element.  The sum is 2 pi periodic, so x is
+    first reduced into [-pi, pi] (math.remainder is exact); that makes
+    every grating lobe x = 2 pi k the exact limit 1, like x = 0.
+    """
+    x = math.remainder(x, TAU)
+    mag = _array_gain(n, 0.5 * x)
+    phase = 0.5 * (n - 1) * x
+    return complex(mag * math.cos(phase), mag * math.sin(phase))
+
+
+def _coupling(geom: UpaGeometry, du: float, dv: float) -> complex:
+    """a(u, v)^H a(u', v') for du = u - u', dv = v - v', with no vectors:
+    the UPA coupling factors into one Dirichlet sum per axis."""
+    pitch = geom.phase_pitch
+    return _dirichlet(geom.n_h, pitch * du) * _dirichlet(geom.n_v, pitch * dv)
+
+
+def _array_factor_sq(n: int, pitch: float, offset: float) -> float:
+    """|sin(n x)/ (n sin x)|^2 at x = pitch * offset / 2 (power gain)."""
+    val = _array_gain(n, 0.5 * pitch * offset)
     return val * val
 
 
@@ -270,42 +304,53 @@ def _log_gain_ratio(n: int, pitch: float, half: float, x: float) -> float:
     return math.log(max(plus, _TINY_POWER)) - math.log(max(minus, _TINY_POWER))
 
 
+def _log_gain_slope(n: int, pitch: float, offset: float) -> float:
+    """d/d(offset) of ln _array_factor_sq: pitch (n cot(n x) - cot x).
+
+    Near x = 0 the two cotangents cancel, so the leading term of the
+    series, -pitch (n^2 - 1) x / 3, stands in for them.
+    """
+    x = 0.5 * pitch * offset
+    if abs(x) < 1e-4:
+        return -pitch * (n * n - 1) * x / 3.0
+    return pitch * (n / math.tan(n * x) - 1.0 / math.tan(x))
+
+
 def _invert_ratio(n: int, pitch: float, half: float, measured: float, reach: float) -> float:
-    """Bisection inverse of the monotone log power ratio on [-reach, reach]."""
+    """Inverse of the monotone log power ratio on [-reach, reach].
+
+    A measured ratio at or beyond an end's value returns that end.
+    Otherwise safeguarded Newton from 0 on the analytic slope: each
+    step shrinks a bracket around the root, a step that would leave it
+    bisects instead, and the loop ends at a step of a few ulp of reach
+    or after _NEWTON_MAX_STEPS.
+    """
     lo, hi = -reach, reach
-    g_lo = _log_gain_ratio(n, pitch, half, lo)
-    g_hi = _log_gain_ratio(n, pitch, half, hi)
-    if measured <= g_lo:
+    if measured <= _log_gain_ratio(n, pitch, half, lo):
         return lo
-    if measured >= g_hi:
+    if measured >= _log_gain_ratio(n, pitch, half, hi):
         return hi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _log_gain_ratio(n, pitch, half, mid) < measured:
-            lo = mid
+    tol = 4.0 * math.ulp(reach)
+    x = 0.0
+    for _ in range(_NEWTON_MAX_STEPS):
+        f = _log_gain_ratio(n, pitch, half, x) - measured
+        if f < 0.0:
+            lo = x
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = x
+        slope = _log_gain_slope(n, pitch, x - half) - _log_gain_slope(n, pitch, x + half)
+        step = f / slope if slope > 0.0 else math.inf
+        if abs(step) <= tol or hi - lo <= tol:
+            return min(hi, max(lo, x - step))
+        x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+    return x
 
 
-def _measure_power(
-    ch: ChannelRealization,
-    beam: np.ndarray,
-    side: str,
-    geom: UpaGeometry,
-    other_factor: complex,
-    p_t: float,
-    noise_power: float,
-    rng: np.random.Generator,
-) -> float:
-    a_own = array_response(geom, ch.aod if side == "tx" else ch.aoa)
-    own = complex(np.vdot(a_own, beam)) if side == "tx" else complex(np.vdot(beam, a_own))
-    amp = math.sqrt(p_t) * ch.gain * other_factor * own
-    # N_t N_r scale: own side contributes sqrt(n); the other side's
-    # sqrt(n) is folded into other_factor by the caller.
-    amp *= math.sqrt(geom.n_elements)
-    meas = amp + complex(_complex_noise(rng, (), noise_power))
-    return abs(meas) ** 2
+def _noise_sample(rng: np.random.Generator, noise_power: float) -> complex:
+    """One CN(0, noise_power) draw: two scalar normals, real part first."""
+    if noise_power == 0.0:
+        return 0j
+    return math.sqrt(noise_power / 2.0) * complex(rng.standard_normal(), rng.standard_normal())
 
 
 def aux_beam_refine(
@@ -318,7 +363,7 @@ def aux_beam_refine(
     noise_power: float,
     rng: np.random.Generator,
     *,
-    other_weights: np.ndarray,
+    other_angles: SphericalAngles,
     other_geom: UpaGeometry,
 ) -> SphericalAngles:
     """Refine one side's coarse beam-training angles with auxiliary beams.
@@ -330,40 +375,46 @@ def aux_beam_refine(
     the true coordinate inside the main lobe.  delta_offset is an angle
     in radians; it maps to direction-cosine offsets through the local
     Jacobian at the coarse angles.  The opposite side keeps its fixed
-    beam other_weights on the array other_geom, so its gain cancels
-    from each ratio.  A coordinate whose both measurements fall at or
-    below the noise floor keeps its coarse value.  The result is
+    beam, steered at other_angles on the array other_geom, so its gain
+    cancels from each ratio.  A coordinate whose both measurements fall
+    at or below the noise floor keeps its coarse value.  The result is
     clamped to codebook coverage.
+
+    No vector is built: each probe's complex amplitude is the product
+    of per-axis Dirichlet sums of the direction-cosine offsets
+    (_coupling), and each ratio is inverted by safeguarded Newton
+    (_invert_ratio).  The draws are two scalar normals per probe, real
+    part first, u probes (+delta, then -delta) before v probes.
     """
     if side not in ("tx", "rx"):
         raise ValueError(f"side must be 'tx' or 'rx', got {side!r}")
     if delta_offset <= 0.0:
         raise ValueError("delta_offset must be > 0")
 
-    a_other = array_response(other_geom, ch.aoa if side == "tx" else ch.aod)
-    # For side='tx' the other side receives (factor w^H a_r), else it
-    # transmits (factor a_t^H f); each carries its sqrt(n) scale.
-    if side == "tx":
-        other_factor = math.sqrt(other_geom.n_elements) * complex(np.vdot(other_weights, a_other))
-    else:
-        other_factor = math.sqrt(other_geom.n_elements) * complex(np.vdot(a_other, other_weights))
-
+    own, other = (ch.aod, ch.aoa) if side == "tx" else (ch.aoa, ch.aod)
+    ut, vt = direction_cosines(own)
+    uo, vo = direction_cosines(other)
     u0, v0 = direction_cosines(coarse)
+    uf, vf = direction_cosines(other_angles)
+    # The transmit side measures a_own^H f and the receive side w^H
+    # a_own; the opposite side's fixed beam enters the other way round.
+    sign = 1.0 if side == "tx" else -1.0
+    other_factor = _coupling(other_geom, sign * (uf - uo), sign * (vf - vo))
+    scale = math.sqrt(p_t * geom.n_elements * other_geom.n_elements) * ch.gain * other_factor
     sin_el = math.sin(coarse.elevation)
     pitch = geom.phase_pitch
 
-    def refine_axis(n_axis: int, anchor: float, half: float, along_u: bool) -> float:
+    def power(du: float, dv: float) -> float:
+        """Noisy power through the probe beam steered (du, dv) short of the truth."""
+        amp = scale * _coupling(geom, sign * du, sign * dv)
+        return abs(amp + _noise_sample(rng, noise_power)) ** 2
+
+    def refine_axis(n_axis: int, anchor: float, half: float, probe: Callable[[float], float]) -> float:
         null = 2.0 * math.pi / (n_axis * pitch)
         half = min(half, 0.45 * null)
         reach = _MAINLOBE_FRACTION * null - half
-        if along_u:
-            beam_p = steering_from_cosines(geom, anchor + half, v0)
-            beam_m = steering_from_cosines(geom, anchor - half, v0)
-        else:
-            beam_p = steering_from_cosines(geom, u0, anchor + half)
-            beam_m = steering_from_cosines(geom, u0, anchor - half)
-        p_plus = _measure_power(ch, beam_p, side, geom, other_factor, p_t, noise_power, rng)
-        p_minus = _measure_power(ch, beam_m, side, geom, other_factor, p_t, noise_power, rng)
+        p_plus = probe(anchor + half)
+        p_minus = probe(anchor - half)
         if noise_power > 0.0 and p_plus <= noise_power and p_minus <= noise_power:
             return anchor
         ratio = math.log(max(p_plus, _TINY_POWER)) - math.log(max(p_minus, _TINY_POWER))
@@ -372,8 +423,8 @@ def aux_beam_refine(
     half_u = max(delta_offset * abs(math.cos(coarse.azimuth)) * sin_el, 1e-6)
     half_v = max(delta_offset * sin_el, 1e-6)
     # A single-element axis has no angular resolution to refine.
-    u_hat = refine_axis(geom.n_h, u0, half_u, along_u=True) if geom.n_h > 1 else u0
-    v_hat = refine_axis(geom.n_v, v0, half_v, along_u=False) if geom.n_v > 1 else v0
+    u_hat = refine_axis(geom.n_h, u0, half_u, lambda u: power(ut - u, vt - v0)) if geom.n_h > 1 else u0
+    v_hat = refine_axis(geom.n_v, v0, half_v, lambda v: power(ut - u0, vt - v)) if geom.n_v > 1 else v0
 
     v_hat = max(math.cos(ELEVATION_MAX), min(math.cos(ELEVATION_MIN), v_hat))
     el = math.acos(v_hat)

@@ -10,18 +10,22 @@ the true and estimated reflector-1 positions.  Experiments run grids of
 (array size, SNR, ranging noise, beam mode) and aggregate per-point
 statistics into CSV-ready rows.
 
-Randomness is split into four named substreams per trial (scenario,
-channel, sweep, ftm), each seeded by (seed, trial, stream).  Grid points
-therefore share scenes, channel gains, and ranging noise, which pairs
-their comparisons and pins every output byte for a given seed.  Each
-trial's scene is sampled once, at the first grid point, and shared by
-every later grid point.
+Randomness is split into five named substreams per trial (scenario,
+channel, sweep, ftm, and aux for the auxiliary-beam refinement), each
+seeded by (seed, trial, stream).  Grid points therefore share scenes,
+channel gains, ranging noise and refinement noise, which pairs their
+comparisons and pins every output byte for a given seed; a change to
+how many draws one stream takes leaves the others alone.  Each trial's
+scene, exact paths and channel gains are drawn once, at the first grid
+point, and shared by every later grid point, which rewinds the trial's
+sweep, ftm and aux streams instead of seeding them again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import product
 from typing import Callable, Sequence
 
@@ -34,7 +38,6 @@ from .channel import (
     ChannelRealization,
     Codebook,
     UpaGeometry,
-    array_response,
     aux_beam_refine,
     beam_sweep,
     build_codebook,
@@ -62,6 +65,7 @@ _STREAM_SCENARIO = 0
 _STREAM_CHANNEL = 1
 _STREAM_SWEEP = 2
 _STREAM_FTM = 3
+_STREAM_AUX = 4
 
 _SAMPLER_MAX_TRIES = 100000
 
@@ -79,26 +83,54 @@ _FAILURE_STATUS = {
 }
 
 
+def _generator(seed: int, trial: int, stream: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, trial, stream))))
+
+
 @dataclass(frozen=True)
 class TrialRng:
-    """Named random substreams of one trial."""
+    """Named random substreams of one trial, each seeded by (seed, trial,
+    stream).
+
+    aux is built on its first use, so a trial that never refines a beam
+    builds no fifth generator.  rewind() returns sweep, ftm and (once
+    built) aux to their state at construction: the streams each grid
+    point consumes afresh.  Restoring a state costs about a tenth of
+    seeding a generator.
+    """
 
     scenario: np.random.Generator
     channel: np.random.Generator
     sweep: np.random.Generator
     ftm: np.random.Generator
+    seed: int
+    trial: int
+    _start: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for name in ("sweep", "ftm"):
+            self._start[name] = getattr(self, name).bit_generator.state
 
     @classmethod
     def from_seed(cls, seed: int, trial: int) -> "TrialRng":
-        def gen(stream: int) -> np.random.Generator:
-            return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, trial, stream))))
-
         return cls(
-            scenario=gen(_STREAM_SCENARIO),
-            channel=gen(_STREAM_CHANNEL),
-            sweep=gen(_STREAM_SWEEP),
-            ftm=gen(_STREAM_FTM),
+            scenario=_generator(seed, trial, _STREAM_SCENARIO),
+            channel=_generator(seed, trial, _STREAM_CHANNEL),
+            sweep=_generator(seed, trial, _STREAM_SWEEP),
+            ftm=_generator(seed, trial, _STREAM_FTM),
+            seed=seed,
+            trial=trial,
         )
+
+    @cached_property
+    def aux(self) -> np.random.Generator:
+        gen = _generator(self.seed, self.trial, _STREAM_AUX)
+        self._start["aux"] = gen.bit_generator.state
+        return gen
+
+    def rewind(self) -> None:
+        for name, state in self._start.items():
+            getattr(self, name).bit_generator.state = state
 
 
 @dataclass(frozen=True)
@@ -372,17 +404,17 @@ def _estimate_path(
     )
     best_tx, best_rx, snr_est = beam_sweep(ch, tx_cb, rx_cb, p_t, noise, rng.sweep)
     if cfg.beam[0] == "aux":
-        fixed_rx = array_response(rx_cb.geom, best_rx)
-        fixed_tx = array_response(tx_cb.geom, best_tx)
-        refined_tx = aux_beam_refine(
-            ch, best_tx, "tx", tx_cb.geom, 0.5 * tx_cb.az_cell_width, p_t, noise, rng.sweep,
-            other_weights=fixed_rx, other_geom=rx_cb.geom,
+        # Each side refines against the other's coarse beam.
+        best_tx, best_rx = (
+            aux_beam_refine(
+                ch, best_tx, "tx", tx_cb.geom, 0.5 * tx_cb.az_cell_width, p_t, noise, rng.aux,
+                other_angles=best_rx, other_geom=rx_cb.geom,
+            ),
+            aux_beam_refine(
+                ch, best_rx, "rx", rx_cb.geom, 0.5 * rx_cb.az_cell_width, p_t, noise, rng.aux,
+                other_angles=best_tx, other_geom=tx_cb.geom,
+            ),
         )
-        refined_rx = aux_beam_refine(
-            ch, best_rx, "rx", rx_cb.geom, 0.5 * rx_cb.az_cell_width, p_t, noise, rng.sweep,
-            other_weights=fixed_tx, other_geom=tx_cb.geom,
-        )
-        best_tx, best_rx = refined_tx, refined_rx
 
     n_total = tx_cb.geom.n_elements * rx_cb.geom.n_elements
     matched = p_t * n_total * abs(gain) ** 2
@@ -398,13 +430,33 @@ def _estimate_path(
     return obs, matched_db
 
 
+#: Each path's exact observation with its complex channel gain.
+TrialPaths = tuple[tuple[PathObservation, complex], tuple[PathObservation, complex]]
+
+
+def _trial_paths(scenario: Scenario, rng: TrialRng) -> TrialPaths:
+    """Exact observations of the scene's two paths, with CN(0,1) gains
+    drawn from the channel stream (path 1 first, real part first)."""
+    truths = synthesize_observations(scenario)
+    gains = [
+        complex(rng.channel.standard_normal(), rng.channel.standard_normal()) / math.sqrt(2.0)
+        for _ in range(2)
+    ]
+    return (truths[0], gains[0]), (truths[1], gains[1])
+
+
 def run_trial(
     cfg: ExperimentConfig,
     scenario: Scenario,
     rng: TrialRng,
     codebooks: tuple[Codebook, Codebook] | None = None,
+    paths: TrialPaths | None = None,
 ) -> TrialResult:
-    """One end-to-end localization attempt; failures become data."""
+    """One end-to-end localization attempt; failures become data.
+
+    paths, when given, are the scene's exact paths and gains drawn
+    earlier by the caller; otherwise they are drawn here from rng.
+    """
     cfg = cfg.single()
     (tx_pair, rx_pair) = cfg.upa_pairs()[0]
     if codebooks is None:
@@ -418,13 +470,9 @@ def run_trial(
         p_t, noise = 1.0, 0.0  # exact, noise-free measurements
     else:
         p_t, noise = 10.0 ** (snr / 10.0), 1.0
-    truth1, truth2 = synthesize_observations(scenario)
-    gains = [
-        complex(rng.channel.standard_normal(), rng.channel.standard_normal()) / math.sqrt(2.0)
-        for _ in range(2)
-    ]
-    obs1, snr1 = _estimate_path(cfg, truth1, gains[0], tx_cb, rx_cb, p_t, noise, rng, timestamp=1)
-    obs2, snr2 = _estimate_path(cfg, truth2, gains[1], tx_cb, rx_cb, p_t, noise, rng, timestamp=0)
+    (truth1, gain1), (truth2, gain2) = paths or _trial_paths(scenario, rng)
+    obs1, snr1 = _estimate_path(cfg, truth1, gain1, tx_cb, rx_cb, p_t, noise, rng, timestamp=1)
+    obs2, snr2 = _estimate_path(cfg, truth2, gain2, tx_cb, rx_cb, p_t, noise, rng, timestamp=0)
     realized = 0.5 * (snr1 + snr2)
 
     table = MeasurementTable(cfg.table_capacity)
@@ -523,12 +571,13 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run the full grid; one CurveRow per (UPA pair, SNR, sigma, mode).
 
-    Scenario, channel, and ranging substreams depend only on (seed,
-    trial), so every grid point sees the same scenes, gains, and
-    ranging noise draws.  Trial t's scene is sampled from its scenario
-    stream the first time the trial loop reaches it and reused by every
-    later grid point, so the sampler (``scenario_sampler`` included) is
-    called once per trial, not once per grid point and trial.
+    Every substream depends only on (seed, trial), so every grid point
+    sees the same scenes, gains, ranging and refinement noise draws.
+    The first time the trial loop reaches trial t, it seeds the trial's
+    streams, samples its scene and draws its paths and gains; every
+    later grid point reuses them and rewinds the trial's streams.  So
+    the sampler (``scenario_sampler`` included) is called once per
+    trial, not once per grid point and trial.
     """
     sampler = scenario_sampler or make_scenario_sampler(cfg)
     codebook_cache: dict[tuple[int, int, int], Codebook] = {}
@@ -539,7 +588,7 @@ def run_experiment(
             codebook_cache[key] = build_codebook(UpaGeometry(*pair), cfg.oversampling)
         return codebook_cache[key]
 
-    scenes: list[Scenario] = []
+    starts: list[tuple[Scenario, TrialPaths, TrialRng]] = []
     out = ExperimentResult(curve=[], raw=[] if collect_raw else None)
     grid = [
         (pair, snr, sigma, mode)
@@ -559,10 +608,13 @@ def run_experiment(
         books = (codebook_for(tx_pair), codebook_for(rx_pair))
         results = []
         for trial in range(cfg.trials):
-            rng = TrialRng.from_seed(cfg.seed, trial)
-            if trial == len(scenes):
-                scenes.append(sampler(rng.scenario))
-            results.append(run_trial(point_cfg, scenes[trial], rng, codebooks=books))
+            if trial == len(starts):
+                rng = TrialRng.from_seed(cfg.seed, trial)
+                scene = sampler(rng.scenario)
+                starts.append((scene, _trial_paths(scene, rng), rng))
+            scene, paths, rng = starts[trial]
+            rng.rewind()
+            results.append(run_trial(point_cfg, scene, rng, codebooks=books, paths=paths))
         out.curve.append(_aggregate(point_cfg, results))
         if collect_raw:
             out.raw.extend(results)

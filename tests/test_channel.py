@@ -2,12 +2,16 @@
 
 Sweep correctness is checked against a brute-force oracle that forms
 the full channel matrix and scores every codeword pair one by one.
+The closed-form refinement is checked against a vector oracle that
+builds every beam, couples them by np.vdot and inverts by bisection.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mm3nlos import channel
 from mm3nlos.channel import (
@@ -347,12 +351,168 @@ def test_high_snr_sweep_draws_a_small_share_of_the_grid():
 
 
 # ---------------------------------------------------------------------------
+# auxiliary refinement: vector oracle
+
+def steering_from_cosines(geom, u, v):
+    """Unit-norm Kronecker steering toward direction cosines (u, v)."""
+    h = np.exp(-1j * geom.phase_pitch * u * np.arange(geom.n_h)) / math.sqrt(geom.n_h)
+    w = np.exp(-1j * geom.phase_pitch * v * np.arange(geom.n_v)) / math.sqrt(geom.n_v)
+    return np.kron(h, w)
+
+
+def vector_coupling(geom, ua, va, ub, vb):
+    """a(ua, va)^H a(ub, vb) from the two steering vectors."""
+    return complex(np.vdot(steering_from_cosines(geom, ua, va), steering_from_cosines(geom, ub, vb)))
+
+
+def bisection_inverse(n, pitch, half, measured, reach):
+    """80-step bisection of the monotone log power ratio on [-reach, reach]."""
+    lo, hi = -reach, reach
+    if measured <= channel._log_gain_ratio(n, pitch, half, lo):
+        return lo
+    if measured >= channel._log_gain_ratio(n, pitch, half, hi):
+        return hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if channel._log_gain_ratio(n, pitch, half, mid) < measured:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def vector_refine(ch, coarse, side, geom, delta_offset, p_t, noise_power, rng, *, other_angles, other_geom):
+    """Auxiliary-beam refinement with explicit beams: every probe and the
+    own-side response are steering vectors measured by np.vdot, the
+    opposite side's fixed beam is array_response(other_angles), and each
+    ratio is inverted by bisection.  Same draws as aux_beam_refine."""
+    tx = side == "tx"
+    a_own = array_response(geom, ch.aod if tx else ch.aoa)
+    a_other = array_response(other_geom, ch.aoa if tx else ch.aod)
+    fixed = array_response(other_geom, other_angles)
+    other = math.sqrt(other_geom.n_elements) * complex(np.vdot(fixed, a_other) if tx else np.vdot(a_other, fixed))
+
+    def power(beam):
+        own = complex(np.vdot(a_own, beam) if tx else np.vdot(beam, a_own))
+        amp = math.sqrt(p_t) * ch.gain * other * own * math.sqrt(geom.n_elements)
+        if noise_power > 0.0:
+            sigma = math.sqrt(noise_power / 2.0)
+            amp += sigma * complex(rng.standard_normal(()) + 1j * rng.standard_normal(()))
+        return abs(amp) ** 2
+
+    u0, v0 = direction_cosines(coarse)
+    sin_el = math.sin(coarse.elevation)
+    pitch = geom.phase_pitch
+
+    def refine_axis(n_axis, anchor, half, along_u):
+        null = 2.0 * math.pi / (n_axis * pitch)
+        half = min(half, 0.45 * null)
+        reach = 0.95 * null - half
+        probes = [(anchor + s * half, v0) if along_u else (u0, anchor + s * half) for s in (1.0, -1.0)]
+        p_plus, p_minus = (power(steering_from_cosines(geom, u, v)) for u, v in probes)
+        if noise_power > 0.0 and p_plus <= noise_power and p_minus <= noise_power:
+            return anchor
+        ratio = math.log(max(p_plus, 1e-300)) - math.log(max(p_minus, 1e-300))
+        return anchor + bisection_inverse(n_axis, pitch, half, ratio, reach)
+
+    half_u = max(delta_offset * abs(math.cos(coarse.azimuth)) * sin_el, 1e-6)
+    half_v = max(delta_offset * sin_el, 1e-6)
+    u_hat = refine_axis(geom.n_h, u0, half_u, True) if geom.n_h > 1 else u0
+    v_hat = refine_axis(geom.n_v, v0, half_v, False) if geom.n_v > 1 else v0
+    v_hat = max(math.cos(ELEVATION_MAX), min(math.cos(ELEVATION_MIN), v_hat))
+    el = math.acos(v_hat)
+    az = math.asin(max(-1.0, min(1.0, u_hat / math.sin(el))))
+    return SphericalAngles(max(-AZIMUTH_HALF_SPAN, min(AZIMUTH_HALF_SPAN, az)), el)
+
+
+COUPLING_SHAPES = [(1, 1), (1, 8), (8, 1), (8, 8), (32, 32)]
+
+# Cosine offsets: anywhere, near 0, and near +-2 (the grating lobe at a
+# phase difference of +-2 pi per element).
+cosine_offsets = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.floats(-1e-9, 1e-9),
+    st.floats(2.0 - 1e-9, 2.0 + 1e-9),
+    st.floats(-2.0 - 1e-9, -2.0 + 1e-9),
+)
+
+
+@given(
+    shape=st.sampled_from(COUPLING_SHAPES),
+    ua=st.floats(-1.0, 1.0),
+    va=st.floats(-1.0, 1.0),
+    du=cosine_offsets,
+    dv=cosine_offsets,
+)
+def test_closed_form_coupling_matches_the_vector_oracle(shape, ua, va, du, dv):
+    geom = upa(*shape)
+    ub, vb = ua - du, va - dv
+    got = channel._coupling(geom, ua - ub, va - vb)
+    assert abs(got - vector_coupling(geom, ua, va, ub, vb)) < 1e-12
+
+
+@pytest.mark.parametrize("shape", COUPLING_SHAPES)
+def test_coupling_is_exactly_one_on_the_main_and_grating_lobes(shape):
+    geom = upa(*shape)
+    for du, dv in [(0.0, 0.0), (2.0, 0.0), (0.0, -2.0), (2.0, 2.0), (-4.0, 2.0)]:
+        assert channel._coupling(geom, du, dv) == 1.0
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 32])
+@pytest.mark.parametrize("half_fraction", [0.01, 0.1, 0.25, 0.45])
+def test_newton_inverse_matches_the_bisection_oracle(n, half_fraction):
+    pitch = math.pi
+    null = 2.0 * math.pi / (n * pitch)
+    half = half_fraction * null
+    reach = 0.95 * null - half
+    g_lo = channel._log_gain_ratio(n, pitch, half, -reach)
+    g_hi = channel._log_gain_ratio(n, pitch, half, reach)
+    # Ratios of truths across the bracket, at both clamps, and beyond them.
+    offsets = np.linspace(-reach, reach, 41)[1:-1] + 0.3 * reach / 40
+    measured = [channel._log_gain_ratio(n, pitch, half, float(x)) for x in offsets]
+    measured += [g_lo, g_hi, g_lo - 1.0, g_hi + 1.0, -1e3, 1e3, 0.0, 1e-14, -1e-14]
+    for m in measured:
+        got = channel._invert_ratio(n, pitch, half, m, reach)
+        assert abs(got - bisection_inverse(n, pitch, half, m, reach)) < 1e-12
+        assert -reach <= got <= reach
+    assert channel._invert_ratio(n, pitch, half, g_hi + 1.0, reach) == reach
+    assert channel._invert_ratio(n, pitch, half, g_lo - 1.0, reach) == -reach
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (8, 8), (16, 16), (1, 8), (8, 1)])
+@pytest.mark.parametrize("snr_db", [None, 10.0, 30.0])
+def test_refinement_matches_the_vector_oracle_draw_for_draw(shape, snr_db):
+    geom = upa(*shape)
+    delta = 0.5 * build_codebook(geom, 1).az_cell_width
+    p_t, noise = (1.0, 0.0) if snr_db is None else (10.0 ** (snr_db / 10.0), 1.0)
+    rng = np.random.default_rng([*shape, 0 if snr_db is None else int(snr_db)])
+    for _ in range(40):
+        side = "tx" if rng.uniform() < 0.5 else "rx"
+        own, other = random_coverage_angles(rng), random_coverage_angles(rng)
+        aod, aoa = (own, other) if side == "tx" else (other, own)
+        ch = ChannelRealization(complex(rng.standard_normal(), rng.standard_normal()), aod, aoa, 1.0)
+        nudge = rng.normal(0.0, 0.03, size=4)
+        coarse = SphericalAngles(own.azimuth + nudge[0], own.elevation + nudge[1])
+        fixed = SphericalAngles(other.azimuth + nudge[2], other.elevation + nudge[3])
+        other_geom = upa(4, 8)
+        seed = int(rng.integers(2**32))
+        closed, vector = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = aux_beam_refine(ch, coarse, side, geom, delta, p_t, noise, closed,
+                              other_angles=fixed, other_geom=other_geom)
+        want = vector_refine(ch, coarse, side, geom, delta, p_t, noise, vector,
+                             other_angles=fixed, other_geom=other_geom)
+        assert abs(got.azimuth - want.azimuth) < 1e-12
+        assert abs(got.elevation - want.elevation) < 1e-12
+        assert closed.bit_generator.state == vector.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
 # auxiliary refinement
 
 # A 1x1 opposite side: its fixed beam and its response are both [1], so
-# its coupling factor is exactly 1.
+# its coupling factor is exactly 1 wherever it is steered.
 ONE_ELEMENT_SIDE = dict(
-    other_weights=array_response(UpaGeometry(1, 1), SphericalAngles(0.0, math.pi / 2)),
+    other_angles=SphericalAngles(0.0, math.pi / 2),
     other_geom=UpaGeometry(1, 1),
 )
 

@@ -26,8 +26,8 @@ EXPERIMENT = ExperimentConfig(
 )
 
 EXPERIMENT_SHA256 = {
-    "curve": "d5ad93ab4c0dada1a07a36af19dad3b6aef325c747b3c7ba540508cedd640bf9",
-    "raw": "6db83496c799db92a01da55090f535f31c29bb9c5835cfcd60fa85b72aec20d5",
+    "curve": "18c7cdba7bb2ddcad9ee9ba2b78e6177c2a771e11ad3d226b3aad50e299f92bc",
+    "raw": "2362ed59846bacdc2d164ee4fe536606df1609913377b25395dbe84cb27815ce",
 }
 
 AUDIT_SHA256 = {

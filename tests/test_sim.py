@@ -68,6 +68,35 @@ def test_trial_rng_streams_are_independent():
     assert a.ftm.standard_normal() == b.ftm.standard_normal()
 
 
+def test_rewind_restarts_the_streams_a_grid_point_consumes():
+    rng, fresh = TrialRng.from_seed(9, 1), TrialRng.from_seed(9, 1)
+
+    def draws(r):
+        return [r.sweep.standard_normal(3), r.ftm.standard_normal(2), r.aux.standard_normal(2)]
+
+    first = draws(rng)
+    rng.rewind()
+    for got, want in zip(draws(rng), first):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(first, draws(fresh)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_refinement_draws_only_from_its_own_stream():
+    # One trial in best and in aux mode leaves every stream but aux in the
+    # same state, and a best-mode trial never builds the aux generator.
+    scene = make_scenario_sampler(small_cfg())(TrialRng.from_seed(2, 0).scenario)
+    after = {}
+    for mode in ("best", "aux"):
+        after[mode] = TrialRng.from_seed(2, 0)
+        cfg = small_cfg(tx_upa=((8, 8),), rx_upa=((8, 8),), beam=(mode,))
+        run_trial(cfg, scene, after[mode])
+    for name in ("scenario", "channel", "sweep", "ftm"):
+        assert getattr(after["best"], name).bit_generator.state == getattr(after["aux"], name).bit_generator.state
+    assert "aux" not in vars(after["best"])
+    assert after["aux"].aux.bit_generator.state != TrialRng.from_seed(2, 0).aux.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # scenarios and observations
 
@@ -434,12 +463,30 @@ def test_each_trial_is_sampled_once_for_the_whole_grid():
         calls.append(rng)
         return sample(rng)
 
-    out = run_experiment(cfg, counting, collect_raw=True)
-    assert len(calls) == cfg.trials
+    with (
+        mock.patch.object(sim, "synthesize_observations", wraps=sim.synthesize_observations) as paths,
+        mock.patch.object(TrialRng, "from_seed", wraps=TrialRng.from_seed) as seeded,
+    ):
+        out = run_experiment(cfg, counting, collect_raw=True)
+    assert len(calls) == paths.call_count == seeded.call_count == cfg.trials
     assert len(out.curve) == 5
     for i, r in enumerate(out.raw):
         want = sample(TrialRng.from_seed(cfg.seed, i % cfg.trials).scenario)
         np.testing.assert_array_equal(r.true_position, want.target1_pos)
+
+
+def test_grid_points_match_trials_run_from_fresh_streams():
+    # Later grid points rewind each trial's streams and reuse its paths;
+    # every result must equal a trial run from freshly seeded streams.
+    cfg = small_cfg(snr_db=(10.0, 30.0), beam=("best", "aux"), trials=3, seed=6)
+    out = run_experiment(cfg, collect_raw=True)
+    sample = make_scenario_sampler(cfg)
+    for key, got in zip(out.raw_keys, out.raw):
+        _, _, mode, snr, _, trial = key
+        rng = TrialRng.from_seed(cfg.seed, trial)
+        want = run_trial(small_cfg(snr_db=(snr,), beam=(mode,), seed=6), sample(rng.scenario), rng)
+        for name in ("status", "distance_error", "realized_snr_db", "est_position"):
+            np.testing.assert_equal(getattr(got, name), getattr(want, name))
 
 
 def test_progress_callback_sees_every_row():

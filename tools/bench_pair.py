@@ -1,0 +1,175 @@
+"""Paired benchmark runs of a parent commit against this checkout.
+
+Usage, from the root of the checkout:
+
+    python3 tools/bench_pair.py --parent HEAD~1 --workload mc-8x8-aux-ftm \
+        --seed 1 --pairs 10 --seconds 30 --out BENCH_9.json
+
+The parent commit is extracted with ``git archive`` into a temporary
+directory (no worktree, so nothing is left in the repository's .git),
+and the change is this checkout's working tree.  Each pair runs
+``python3 bench/run.py --workload W --seed S --seconds T --trace X``
+once in each tree, the parent first in even pairs and the change first
+in odd ones.  The last line bench/run.py prints is one JSON object; its
+metrics are kept per run.
+
+The output file holds the environment and one group per (workload,
+seed, trace): the command, every run, and per metric each side's
+median and quartiles, the change/parent ratio of medians and the
+change's wins, losses and ties over the pairs, judged by the metric's
+``better`` direction in BENCHMARK.json.  Running again with the same
+output file adds or replaces groups and keeps the others.  The
+temporary tree is removed on exit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def extract(rev: str, dest: Path) -> None:
+    """Write the tree of commit rev into dest."""
+    data = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def bench_argv(workload: str, seed: int, seconds: float, trace: int) -> list[str]:
+    return [
+        "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace)
+    ]
+
+
+def run_bench(tree: Path, argv: list[str]) -> dict:
+    """One bench/run.py run in tree; its final JSON line."""
+    proc = subprocess.run([sys.executable, *argv], cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"bench/run.py failed in {tree} (exit {proc.returncode}): {proc.stderr[-800:]}")
+    return json.loads(lines[-1])
+
+
+def better_directions() -> dict[str, str]:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in (*spec["end_to_end"], *spec["per_layer"])}
+
+
+def spread(values: list[float]) -> dict[str, float]:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else (values[0],) * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per metric: each side's spread, the ratio of medians and the change's pairwise record."""
+    sides = {side: [r for r in runs if r["side"] == side] for side in ("parent", "change")}
+    out = {}
+    for name, first in sides["parent"][0]["metrics"].items():
+        values = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in sides.items()}
+        direction = better.get(name, "")
+        record = {"wins": 0, "losses": 0, "ties": 0}
+        for p, c in zip(values["parent"], values["change"]):
+            if p == c or direction not in ("higher", "lower"):
+                record["ties"] += 1
+            elif (c > p) == (direction == "higher"):
+                record["wins"] += 1
+            else:
+                record["losses"] += 1
+        parent, change = spread(values["parent"]), spread(values["change"])
+        out[name] = {
+            "unit": first["unit"],
+            "better": direction,
+            "parent": parent,
+            "change": change,
+            "ratio": change["median"] / parent["median"] if parent["median"] else None,
+            **record,
+        }
+    return out
+
+
+def environment() -> dict:
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "nproc": os.cpu_count(),
+        "usable_cpus": len(os.sched_getaffinity(0)),
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="commit to compare against (e.g. HEAD~1)")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--description", default=None, help="one line saying what the change does")
+    parser.add_argument("--workdir", type=Path, default=None, help="parent tree location (default: system temp)")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+
+    parent_sha = git("rev-parse", args.parent)
+    argv_bench = bench_argv(args.workload, args.seed, args.seconds, args.trace)
+    tmp = Path(tempfile.mkdtemp(prefix="bench_pair-", dir=args.workdir))
+    runs = []
+    try:
+        extract(parent_sha, tmp)
+        trees = {"parent": tmp, "change": ROOT}
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for position, side in enumerate(order):
+                result = run_bench(trees[side], argv_bench)
+                runs.append({"pair": pair, "side": side, "position": position, **result})
+                print(f"pair {pair} {side}: correct={result['correct']} failed={result['failed']}", file=sys.stderr)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    head = git("rev-parse", "HEAD")
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    doc.update({
+        "parent_commit": parent_sha,
+        "change": f"working tree at {head}" + (" with uncommitted changes" if dirty else ""),
+        "env": environment(),
+    })
+    if args.description:
+        doc["description"] = args.description
+    key = f"{args.workload} seed {args.seed} trace {args.trace}"
+    doc.setdefault("groups", {})[key] = {
+        "command": "python3 " + " ".join(argv_bench),
+        "pairs": args.pairs,
+        "order": "parent first in even pairs, change first in odd pairs",
+        "all_correct": all(r["correct"] for r in runs),
+        "failed": {side: sum(r["failed"] for r in runs if r["side"] == side) for side in ("parent", "change")},
+        "metrics": summarize(runs, better_directions()),
+        "runs": runs,
+    }
+    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
