@@ -93,10 +93,29 @@ class PathObservation:
     path_length: float
     snr_db: float
     timestamp: int
+    # plane -> bearings(plane); outside equality, hashing and repr.
+    _bearings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.path_length > 0.0:
             raise ValueError(f"path_length must be > 0, got {self.path_length}")
+
+    def bearings(self, plane: "ProjectionPlane") -> tuple[float, float, float, float] | None:
+        """(aod azimuth, aod tilt, aoa azimuth, aoa tilt) in the plane, or
+        None when either direction is normal to it.
+
+        Memoized per plane object, so the solver and the partner selector
+        project an observation once per plane however often they see it.
+        Named planes are shared instances; a plane built anew for every
+        call adds one entry per call.
+        """
+        memo = self._bearings
+        if plane not in memo:
+            try:
+                memo[plane] = bearing(plane, _unit(self.aod)) + bearing(plane, _unit(self.aoa))
+            except DegenerateProjection:
+                memo[plane] = None
+        return memo[plane]
 
 
 @dataclass(frozen=True)
@@ -174,16 +193,14 @@ class SolveResult:
     intermediates: SolverIntermediates = field(repr=False, default_factory=SolverIntermediates)
 
 
+def _unit(angles: SphericalAngles) -> tuple[float, float, float]:
+    sin_el = math.sin(angles.elevation)
+    return sin_el * math.cos(angles.azimuth), sin_el * math.sin(angles.azimuth), math.cos(angles.elevation)
+
+
 def direction_from_angles(angles: SphericalAngles) -> np.ndarray:
     """Unit vector (x, y, z) for the given azimuth/elevation."""
-    sin_el = math.sin(angles.elevation)
-    return np.array(
-        [
-            sin_el * math.cos(angles.azimuth),
-            sin_el * math.sin(angles.azimuth),
-            math.cos(angles.elevation),
-        ]
-    )
+    return np.array(_unit(angles))
 
 
 def angles_from_direction(vec: np.ndarray) -> SphericalAngles:
@@ -206,7 +223,8 @@ class ProjectionPlane:
 
     Clockwise angles are measured about the normal n = b1 x b2 (viewed
     from the +n side, a counter-clockwise rotation is a clockwise angle
-    of 2*pi minus that rotation).
+    of 2*pi minus that rotation).  Azimuths are measured in the
+    orthonormal frame u1 = b1 / |b1|, u2 = n x u1.
     """
 
     def __init__(self, b1, b2) -> None:
@@ -219,13 +237,11 @@ class ProjectionPlane:
         self.b1 = b1
         self.b2 = b2
         self.normal = normal / norm
-        basis = np.stack([b1, b2], axis=1)
-        # Orthogonal projector onto span(b1, b2).
-        self.matrix = basis @ np.linalg.solve(basis.T @ basis, basis.T)
-        self._u1 = b1 / np.linalg.norm(b1)
-        self._u2 = np.cross(self.normal, self._u1)
-        # Read-only: bearings memoized per plane (measure) must not go stale.
-        for arr in (self.b1, self.b2, self.normal, self.matrix, self._u1, self._u2):
+        u1 = b1 / np.linalg.norm(b1)
+        frame = (u1, np.cross(self.normal, u1), self.normal)
+        self._frame = tuple(tuple(float(c) for c in axis) for axis in frame)
+        # Read-only: observations memoize their bearings per plane object.
+        for arr in (self.b1, self.b2, self.normal):
             arr.setflags(write=False)
 
     @staticmethod
@@ -238,10 +254,6 @@ class ProjectionPlane:
         except KeyError:
             raise ValueError(f"unknown plane name: {name!r} (expected e.g. 'yoz')") from None
 
-    def coords(self, vec: np.ndarray) -> tuple[float, float]:
-        """In-plane coordinates of a (projected) vector."""
-        return float(vec @ self._u1), float(vec @ self._u2)
-
     def __repr__(self) -> str:
         return f"ProjectionPlane(b1={self.b1.tolist()}, b2={self.b2.tolist()})"
 
@@ -252,35 +264,24 @@ _NAMED_PLANES = {
 }
 
 
-def _shadow(plane: ProjectionPlane, direction: np.ndarray) -> tuple[np.ndarray, float]:
-    """Projection of a direction onto the plane, and its norm."""
-    shadow = plane.matrix @ np.asarray(direction, dtype=float)
-    norm = float(np.linalg.norm(shadow))
-    if norm < EPS_PROJECTION:
-        raise DegenerateProjection(
-            f"direction {np.asarray(direction).tolist()} is normal to the projection plane"
-        )
-    return shadow, norm
+def bearing(plane: ProjectionPlane, direction) -> tuple[float, float]:
+    """(azimuth, tilt) of a direction (any 3-sequence) seen in the plane.
 
-
-def _azimuth(plane: ProjectionPlane, vec: np.ndarray) -> float:
-    """In-plane angle of a (projected) vector, counter-clockwise from b1."""
-    x, y = plane.coords(vec)
-    if math.hypot(x, y) < EPS_PROJECTION:
-        raise ZeroVector("a (nearly) zero in-plane vector has no angle")
-    return math.atan2(y, x)
-
-
-def bearing(plane: ProjectionPlane, direction: np.ndarray) -> tuple[float, float]:
-    """(azimuth, tilt) of a unit direction seen in the plane.
-
-    azimuth is the in-plane angle of its projection, so the clockwise
-    angle from p to q is (azimuth_p - azimuth_q) % TAU; tilt is the
-    out-of-plane angle, whose cosine rescales a 3D length to its
-    in-plane shadow.
+    azimuth is the in-plane angle of its projection, counter-clockwise
+    from b1, so the clockwise angle from p to q is
+    (azimuth_p - azimuth_q) % TAU; tilt is the out-of-plane angle in
+    [0, pi/2], whose cosine rescales a 3D length to its in-plane shadow.
+    Raises DegenerateProjection when the projection's norm is below
+    EPS_PROJECTION.
     """
-    shadow, norm = _shadow(plane, direction)
-    return _azimuth(plane, shadow), math.acos(max(-1.0, min(1.0, norm)))
+    (a1, a2, a3), (b1, b2, b3), (n1, n2, n3) = plane._frame
+    dx, dy, dz = direction
+    x = dx * a1 + dy * a2 + dz * a3
+    y = dx * b1 + dy * b2 + dz * b3
+    shadow = math.hypot(x, y)
+    if shadow < EPS_PROJECTION:
+        raise DegenerateProjection(f"direction {[float(c) for c in direction]} is normal to the projection plane")
+    return math.atan2(y, x), math.atan2(abs(dx * n1 + dy * n2 + dz * n3), shadow)
 
 
 def reflex_reduce(alpha: float) -> float:
@@ -547,18 +548,18 @@ def _solve_collinear(inter: SolverIntermediates, c1: float, c2: float, scene: Sc
 
 
 def solve(obs1: PathObservation, obs2: PathObservation, plane: ProjectionPlane) -> SolveResult:
-    """Take the four bearings in the plane once, classify the scene, and
-    solve it with the branch for its code.
+    """Read the four bearings in the plane from the observations' memos,
+    classify the scene, and solve it with the branch for its code.
 
     obs1 is the current path whose reflector is located; obs2 supplies
     the second path (usually a historical record).  The branch solvers
     fill the rest of the intermediates and return the distance.
     """
-    e_aoa_1 = direction_from_angles(obs1.aoa)
-    az_aod_1, tilt_aod_1 = bearing(plane, direction_from_angles(obs1.aod))
-    az_aod_2, tilt_aod_2 = bearing(plane, direction_from_angles(obs2.aod))
-    az_aoa_1, tilt_aoa_1 = bearing(plane, e_aoa_1)
-    az_aoa_2, tilt_aoa_2 = bearing(plane, direction_from_angles(obs2.aoa))
+    first, second = obs1.bearings(plane), obs2.bearings(plane)
+    if first is None or second is None:
+        raise DegenerateProjection("a direction is normal to the projection plane")
+    az_aod_1, tilt_aod_1, az_aoa_1, tilt_aoa_1 = first
+    az_aod_2, tilt_aod_2, az_aoa_2, tilt_aoa_2 = second
     inter = SolverIntermediates(
         cw_aod_pair=(az_aod_1 - az_aod_2) % TAU,
         cw_aoa_pair=(az_aoa_1 - az_aoa_2) % TAU,
@@ -574,7 +575,7 @@ def solve(obs1: PathObservation, obs2: PathObservation, plane: ProjectionPlane) 
         raise Unsolvable("both projected pairs are collinear (scene code 0)")
     branch = _solve_collinear if scene.code == 5 else _solve_separate
     distance = branch(inter, obs1.path_length, obs2.path_length, scene)
-    return SolveResult(direction=e_aoa_1, distance=distance, scene=scene, intermediates=inter)
+    return SolveResult(direction=direction_from_angles(obs1.aoa), distance=distance, scene=scene, intermediates=inter)
 
 
 def localize(result: SolveResult, sta_position: np.ndarray) -> np.ndarray:

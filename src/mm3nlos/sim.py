@@ -69,10 +69,6 @@ _STREAM_AUX = 4
 
 _SAMPLER_MAX_TRIES = 100000
 
-#: Margin (rad) by which the sampler's pre-reject needs a direction to lie
-#: outside the coverage sector before it drops a candidate.
-_PRE_REJECT_SLACK = 1e-9
-
 #: Trial status of each partner-selection or solver failure (leaf
 #: exception classes, looked up by exact type).
 _FAILURE_STATUS = {
@@ -287,45 +283,28 @@ def synthesize_observations(s: Scenario) -> tuple[PathObservation, PathObservati
     return one(s.target1_pos, 1), one(s.target2_pos, 0)
 
 
-def _in_coverage(local: SphericalAngles) -> bool:
+def _covered(direction: tuple[float, float, float], yaw: float) -> bool:
+    """Whether a direction lies in the angular coverage sector of a
+    terminal whose array faces yaw (rad)."""
+    dx, dy, dz = direction
     return (
-        abs(local.azimuth) <= AZIMUTH_HALF_SPAN
-        and ELEVATION_MIN <= local.elevation <= ELEVATION_MAX
+        ELEVATION_MIN <= math.atan2(math.hypot(dx, dy), dz) <= ELEVATION_MAX
+        and abs(_wrap_angle(math.atan2(dy, dx) - yaw)) <= AZIMUTH_HALF_SPAN
     )
-
-
-def _surely_uncovered(dx: float, dy: float, dz: float, yaw: float) -> bool:
-    """Whether direction (dx, dy, dz) is outside the coverage sector of a
-    terminal yawed by yaw, by more than _PRE_REJECT_SLACK.
-
-    Plain-math screen for the sampler: True only for directions that
-    ``_in_coverage(_to_local(angles_from_direction(d), yaw))`` rejects.
-    The azimuth margin also covers the rounding of subtracting the yaw.
-    """
-    el = math.atan2(math.hypot(dx, dy), dz)
-    if el < ELEVATION_MIN - _PRE_REJECT_SLACK or el > ELEVATION_MAX + _PRE_REJECT_SLACK:
-        return True
-    az_limit = AZIMUTH_HALF_SPAN + _PRE_REJECT_SLACK + 4.0 * math.ulp(abs(yaw) + TAU)
-    return abs(_wrap_angle(math.atan2(dy, dx) - yaw)) > az_limit
 
 
 def make_scenario_sampler(cfg: ExperimentConfig) -> Callable[[np.random.Generator], Scenario]:
     """Uniform reflector placement in the config box, rejecting scenes
     that are out of angular coverage or degenerate on the primary plane.
 
-    Degenerate means: a direction (nearly) normal to the plane, or a
-    projected pair angle within min_pair_angle of collinear, where the
-    solution is unstable under measurement noise.
+    Degenerate means: a reflector within 1 mm of the other or of a
+    terminal, a direction (nearly) normal to the plane, or a projected
+    pair angle within min_pair_angle of collinear, where the solution is
+    unstable under measurement noise.
 
     Each attempt draws six scalar uniforms (reflector 1, then reflector
-    2).  Most attempts fail coverage, so a plain-math pre-reject
-    (``_surely_uncovered``) drops a candidate first when one of its four
-    directions lies outside the sector by more than _PRE_REJECT_SLACK
-    (1e-9 rad).  The exact chain below computes the same angles to
-    within about 1e-14 rad, so a pre-rejected candidate would fail its
-    coverage check too: the pre-reject only skips work, and the accepted
-    scene and the generator state after each call are those of the exact
-    checks alone.
+    2) and runs every check in plain float math; most attempts fail the
+    coverage check, which comes first.
     """
     ap = np.asarray(cfg.ap_pos, dtype=float)
     sta = np.asarray(cfg.sta_pos, dtype=float)
@@ -334,49 +313,35 @@ def make_scenario_sampler(cfg: ExperimentConfig) -> Callable[[np.random.Generato
     plane = ProjectionPlane.from_name(cfg.planes[0])
     ap_yaw = math.radians(cfg.ap_yaw_deg)
     sta_yaw = math.radians(cfg.sta_yaw_deg)
+    yaws = (ap_yaw, sta_yaw, ap_yaw, sta_yaw)
     (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = cfg.target_box
 
     def sample(rng: np.random.Generator) -> Scenario:
         for _ in range(_SAMPLER_MAX_TRIES):
-            x1, y1, z1 = rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi), rng.uniform(z_lo, z_hi)
-            x2, y2, z2 = rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi), rng.uniform(z_lo, z_hi)
-            if (
-                _surely_uncovered(x1 - ap_x, y1 - ap_y, z1 - ap_z, ap_yaw)
-                or _surely_uncovered(x1 - sta_x, y1 - sta_y, z1 - sta_z, sta_yaw)
-                or _surely_uncovered(x2 - ap_x, y2 - ap_y, z2 - ap_z, ap_yaw)
-                or _surely_uncovered(x2 - sta_x, y2 - sta_y, z2 - sta_z, sta_yaw)
-            ):
-                continue
-            t1 = np.array([x1, y1, z1])
-            t2 = np.array([x2, y2, z2])
-            if min(
-                float(np.linalg.norm(t1 - t2)),
-                float(np.linalg.norm(t1 - ap)),
-                float(np.linalg.norm(t1 - sta)),
-                float(np.linalg.norm(t2 - ap)),
-                float(np.linalg.norm(t2 - sta)),
-            ) < 1e-3:
-                continue
-            dirs = {
-                "aod1": t1 - ap, "aod2": t2 - ap,
-                "aoa1": t1 - sta, "aoa2": t2 - sta,
-            }
-            units = {k: v / np.linalg.norm(v) for k, v in dirs.items()}
-            covered = all(
-                _in_coverage(_to_local(angles_from_direction(v), ap_yaw if k.startswith("aod") else sta_yaw))
-                for k, v in units.items()
+            t1 = rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi), rng.uniform(z_lo, z_hi)
+            t2 = rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi), rng.uniform(z_lo, z_hi)
+            (x1, y1, z1), (x2, y2, z2) = t1, t2
+            # Departure 1, arrival 1, departure 2, arrival 2.
+            dirs = (
+                (x1 - ap_x, y1 - ap_y, z1 - ap_z),
+                (x1 - sta_x, y1 - sta_y, z1 - sta_z),
+                (x2 - ap_x, y2 - ap_y, z2 - ap_z),
+                (x2 - sta_x, y2 - sta_y, z2 - sta_z),
             )
-            if not covered:
+            if not all(map(_covered, dirs, yaws)):
+                continue
+            lengths = [math.hypot(*d) for d in dirs]
+            if min(math.dist(t1, t2), *lengths) < 1e-3:
                 continue
             try:
-                az = {k: bearing(plane, v)[0] for k, v in units.items()}
+                az = [bearing(plane, (dx / n, dy / n, dz / n))[0] for (dx, dy, dz), n in zip(dirs, lengths)]
             except DegenerateProjection:
                 continue
-            aod_pair = (az["aod1"] - az["aod2"]) % TAU
-            aoa_pair = (az["aoa1"] - az["aoa2"]) % TAU
+            aod_pair = (az[0] - az[2]) % TAU
+            aoa_pair = (az[1] - az[3]) % TAU
             if min(collinear_gap(aod_pair), collinear_gap(aoa_pair)) < cfg.min_pair_angle:
                 continue
-            return Scenario(ap, sta, t1, t2, cfg.planes[0])
+            return Scenario(ap, sta, np.array(t1), np.array(t2), cfg.planes[0])
         raise RuntimeError("scenario sampler exhausted its rejection budget")
 
     return sample

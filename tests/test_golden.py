@@ -26,19 +26,19 @@ EXPERIMENT = ExperimentConfig(
 )
 
 EXPERIMENT_SHA256 = {
-    "curve": "18c7cdba7bb2ddcad9ee9ba2b78e6177c2a771e11ad3d226b3aad50e299f92bc",
-    "raw": "2362ed59846bacdc2d164ee4fe536606df1609913377b25395dbe84cb27815ce",
+    "curve": "0266c557077ee2d0b7e259dfbab3d36d8d8d4247c11cc62595981f246f17b30a",
+    "raw": "aa088804426c2f2f2e1f6a93ed86f07c16b14efee8d5e0367ac85d643ccb9e1b",
 }
 
 AUDIT_SHA256 = {
-    "frozen": "940a9ffc54fca92994cabbd8848a136c259da435069021d30e5eea616fcb4c77",
-    "collinear": "d54b639bf644e260343221c843817968defde8dd113e0bfe04090b53a9fd98aa",
-    "baseline-family": "2afc5db95fc7f5dbaab3fa8cb881d1394e587371a385234349a4e6445bb87023",
+    "frozen": "b607a4d294b5b124a87a65e5e9a77bddf7f226cdd7bae5dc6167a576bab45518",
+    "collinear": "7b358f58e8b838094c799853a0896c9b73aa7a8f7598b64b2fffddcc151c7a40",
+    "baseline-family": "2040ebaa46fa6567b85636660240fd33eee2728119eff18b87516e818c3290a1",
     "unsolvable-degenerate": "25bc271b8557bb4bc30789384469c29f7280192ebdd0f0efbf6bb327295ec9bf",
-    "random-yoz": "dd05314334bfe9923d6e90592aba631ac742d6fba3c27a041dc2a813182c1eb1",
-    "random-xoy": "015fa641eacbbc9de2f560d315c182ac71340388b5ffd4cc02ad3bb50aac3feb",
-    "noisy-yoz": "065616633c455d9ba5c6b28077b93d1fc4bba3aaf9c4f23ee79ad011a8abeb15",
-    "noisy-xoy": "50219315b5ccc4acbfb3353a2aee2902140122cc2e1ff1b4ff43425c3a4167bb",
+    "random-yoz": "e41244c28173b923187f29a9a751294eefb7475292bc30f9b17be1338f09c9ee",
+    "random-xoy": "1dae799e0e93f85be878adf2ebda327278da2757a056618bfadafe3aba012867",
+    "noisy-yoz": "882a027bd47ac193902f6c73f0a0266a55037fe9e47a004b8b2d6cbaedf4f1ce",
+    "noisy-xoy": "a861c2afdbdc698a04d8f1eb7800ad9762dbdd05836f358b0ff7196dfd0cc2a1",
 }
 
 SELECTION_SHA256 = "661f9b4399336c69c25d64e17441c54c4e2d64f7e7cc155f116f958eaafa0916"

@@ -1,6 +1,7 @@
 """Ranging noise, table bookkeeping, partner selection, serialization."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mm3nlos.geom import PathObservation, ProjectionPlane, SphericalAngles
-from mm3nlos import measure
+from mm3nlos import geom
+from mm3nlos.geom import GeomError, PathObservation, ProjectionPlane, SphericalAngles, solve
 from mm3nlos.measure import (
     MIN_DISTANCE,
     FtmConfig,
@@ -178,7 +179,20 @@ def random_obs(rng, ts):
     return PathObservation(direction(), direction(), float(rng.uniform(1.0, 9.0)), float(rng.normal(15, 5)), ts)
 
 
-def test_evicted_and_re_added_records_select_like_a_fresh_table():
+def count_bearings(monkeypatch):
+    """The plane of every geom.bearing call from now on."""
+    calls = []
+    real = geom.bearing
+
+    def counting(plane, direction):
+        calls.append(plane)
+        return real(plane, direction)
+
+    monkeypatch.setattr(geom, "bearing", counting)
+    return calls
+
+
+def test_evicted_and_re_added_records_select_like_a_fresh_table(monkeypatch):
     rng = np.random.default_rng(11)
     history = [random_obs(rng, ts) for ts in range(12)]
     history[1] = PathObservation(ALONG_X, ALONG_X, 3.0, 40.0, 1)
@@ -195,27 +209,33 @@ def test_evicted_and_re_added_records_select_like_a_fresh_table():
     assert [r.observation.timestamp for r in table.records] == list(range(4, 12))
     # Put the evicted records back, memos and all, ahead of the newest four.
     table.records = added[:4] + table.records[-4:]
-    assert all(set(rec._memo) == {YOZ, XOY} for rec in table.records)
-    assert table.records[1]._memo[YOZ] is None
+    calls = count_bearings(monkeypatch)
+    for plane in (YOZ, XOY):
+        select_historical(table, currents[0], 1, plane=plane)
+    assert calls == []
+    assert table.records[1].observation.bearings(YOZ) is None
+    # Copies of the observations start with empty memos.
     fresh = MeasurementTable(capacity=8)
     for rec in table.records:
-        fresh.add(rec.observation)
+        fresh.add(replace(rec.observation))
     for plane in (YOZ, XOY):
         for k in (1, 3):
             for cur in currents:
                 assert select_historical(table, cur, k, plane=plane) == select_historical(fresh, cur, k, plane=plane)
 
 
-def test_rebuilt_named_plane_memoizes_one_entry_per_record():
+def test_rebuilt_named_plane_memoizes_one_entry_per_record(monkeypatch):
     rng = np.random.default_rng(12)
     table = MeasurementTable()
     for ts in range(10):
         table.add(random_obs(rng, ts))
     current = random_obs(rng, 99)
+    calls = count_bearings(monkeypatch)
     first = select_historical(table, current, 3, plane=ProjectionPlane.from_name("yoz"))
     for _ in range(999):
         assert select_historical(table, current, 3, plane=ProjectionPlane.from_name("yoz")) == first
-    assert [len(rec._memo) for rec in table.records] == [1] * len(table)
+    # Two directions for each record and for the current path, once.
+    assert calls == [YOZ] * 2 * (len(table) + 1)
 
 
 def test_record_normal_to_the_plane_is_memoized_as_none_and_skipped(monkeypatch):
@@ -223,18 +243,34 @@ def test_record_normal_to_the_plane_is_memoized_as_none_and_skipped(monkeypatch)
     table.add(PathObservation(ALONG_X, ALONG_X, 3.0, 50.0, 1))  # strongest, but unusable in yoz
     table.add(obs(1.4, 2.5, snr=5.0, ts=2))
     current = obs(1.0, 2.0, ts=9)
-    projected = []
-
-    def counting(plane, o):
-        projected.append(o.timestamp)
-        return azimuths(plane, o)
-
-    azimuths = measure._azimuths
-    monkeypatch.setattr(measure, "_azimuths", counting)
+    calls = count_bearings(monkeypatch)
     for _ in range(3):
         assert [p.timestamp for p in select_historical(table, current, k=3, plane=YOZ)] == [2]
-        assert table.records[0]._memo == {YOZ: None}
-    assert projected == [9, 1, 2, 9, 9]
+        assert table.records[0].observation.bearings(YOZ) is None
+        # The current path and the usable record take two bearings each; the
+        # normal record stops at its departure direction.
+        assert len(calls) == 5
+
+
+def test_a_tracking_fix_projects_each_observation_once_per_plane(monkeypatch):
+    # add, select and solve on two planes, the way a streaming localizer
+    # does: the partner's bearings and the current path's come from the memo.
+    rng = np.random.default_rng(13)
+    history = [random_obs(rng, ts) for ts in range(8)]
+    table = MeasurementTable()
+    calls = count_bearings(monkeypatch)
+    solved = 0
+    for o in history:
+        table.add(o)
+        for plane in (YOZ, XOY):
+            try:
+                partner = select_historical(table, o, 1, plane=plane)[0]
+                solve(o, partner, plane)
+                solved += 1
+            except (GeomError, NoUsableHistory):
+                pass
+    assert solved > 0
+    assert Counter(calls) == {YOZ: 2 * len(history), XOY: 2 * len(history)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,22 @@
 """End-to-end trial, experiment grid, and reproducibility tests."""
 
 import math
+from itertools import product
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_geom import clockwise_angle, project
 
 from mm3nlos import sim
 from mm3nlos.channel import AZIMUTH_HALF_SPAN, ELEVATION_MAX, ELEVATION_MIN, build_codebook, UpaGeometry
 from mm3nlos.geom import (
-    TAU,
     DegenerateProjection,
     ProjectionPlane,
     SphericalAngles,
     angles_from_direction,
-    bearing,
     collinear_gap,
     direction_from_angles,
 )
@@ -25,8 +25,6 @@ from mm3nlos.sim import (
     ExperimentConfig,
     Scenario,
     TrialRng,
-    _in_coverage,
-    _surely_uncovered,
     _to_local,
     curve_csv_header,
     format_curve_csv,
@@ -139,9 +137,17 @@ def test_sampler_respects_box_coverage_and_degeneracy_guards():
                 assert ELEVATION_MIN - 1e-12 <= el <= ELEVATION_MAX + 1e-12
 
 
+def in_coverage(direction, yaw):
+    """Oracle: whether a unit direction, turned into the frame of a terminal
+    yawed by yaw, lies in the coverage sector."""
+    local = _to_local(angles_from_direction(direction), yaw)
+    return abs(local.azimuth) <= AZIMUTH_HALF_SPAN and ELEVATION_MIN <= local.elevation <= ELEVATION_MAX
+
+
 def reference_scenario_sampler(cfg, max_tries=sim._SAMPLER_MAX_TRIES):
-    """The scalar rejection sampler without its pre-reject: every attempt
-    runs the full chain of distance, coverage and degeneracy checks."""
+    """The rejection sampler in numpy: every attempt runs the full chain of
+    distance, coverage and degeneracy checks on unit direction vectors,
+    with the projection oracle of test_geom for the pair angles."""
     ap = np.asarray(cfg.ap_pos, dtype=float)
     sta = np.asarray(cfg.sta_pos, dtype=float)
     plane = ProjectionPlane.from_name(cfg.planes[0])
@@ -166,18 +172,14 @@ def reference_scenario_sampler(cfg, max_tries=sim._SAMPLER_MAX_TRIES):
                 "aoa1": t1 - sta, "aoa2": t2 - sta,
             }
             units = {k: v / np.linalg.norm(v) for k, v in dirs.items()}
-            covered = all(
-                _in_coverage(_to_local(angles_from_direction(v), ap_yaw if k.startswith("aod") else sta_yaw))
-                for k, v in units.items()
-            )
-            if not covered:
+            if not all(in_coverage(v, ap_yaw if k.startswith("aod") else sta_yaw) for k, v in units.items()):
                 continue
             try:
-                az = {k: bearing(plane, v)[0] for k, v in units.items()}
+                shadows = {k: project(plane, v) for k, v in units.items()}
             except DegenerateProjection:
                 continue
-            aod_pair = (az["aod1"] - az["aod2"]) % TAU
-            aoa_pair = (az["aoa1"] - az["aoa2"]) % TAU
+            aod_pair = clockwise_angle(plane, shadows["aod1"], shadows["aod2"])
+            aoa_pair = clockwise_angle(plane, shadows["aoa1"], shadows["aoa2"])
             if min(collinear_gap(aod_pair), collinear_gap(aoa_pair)) < cfg.min_pair_angle:
                 continue
             return Scenario(ap, sta, t1, t2, cfg.planes[0])
@@ -186,30 +188,95 @@ def reference_scenario_sampler(cfg, max_tries=sim._SAMPLER_MAX_TRIES):
     return sample
 
 
-def assert_samplers_agree(cfg, seed, scenes, max_tries=sim._SAMPLER_MAX_TRIES):
-    """Both samplers on twin generators: the same scenes, the same generator
-    state after every call, and the same exhaustion."""
+class ScriptedRng:
+    """A seeded generator whose first uniform draws are given values (each
+    inside the range asked for), then its own stream."""
+
+    def __init__(self, seed, lead=()):
+        self.gen = np.random.default_rng(seed)
+        self.lead = list(lead)
+
+    def uniform(self, lo, hi):
+        if not self.lead:
+            return self.gen.uniform(lo, hi)
+        value = self.lead.pop(0)
+        assert lo <= value <= hi
+        return value
+
+    @property
+    def state(self):
+        return len(self.lead), self.gen.bit_generator.state
+
+
+def coverage_edge_draws(cfg):
+    """Attempts (six uniforms each) pairing a reflector next to a coverage
+    edge with a box point both terminals cover.  Each edge point lies
+    1e-12 rad inside or outside a sector bound, as seen from the AP or the
+    STA, and inside the box.  That is far above the rounding of either
+    coverage chain (about 1e-16 rad; one ulp off a bound, the two can
+    round to opposite sides) and far below any slack a coverage test
+    might add."""
+    box = cfg.target_box
+    ap, sta = np.asarray(cfg.ap_pos, dtype=float), np.asarray(cfg.sta_pos, dtype=float)
+    yaws = math.radians(cfg.ap_yaw_deg), math.radians(cfg.sta_yaw_deg)
+    grid = (np.array(p) for p in product(*(np.linspace(lo, hi, 7)[1:-1] for lo, hi in box)))
+    partner = next(
+        (
+            p.tolist() for p in grid
+            if all(in_coverage((p - o) / np.linalg.norm(p - o), yaw) for o, yaw in zip((ap, sta), yaws))
+        ),
+        None,
+    )
+    if partner is None:
+        return []
+    offsets = (-1e-12, 1e-12)
+    angles = [
+        (bound + off, el)
+        for bound in (-AZIMUTH_HALF_SPAN, AZIMUTH_HALF_SPAN) for off in offsets for el in (1.2, 0.5 * math.pi, 1.9)
+    ]
+    angles += [
+        (az, bound + off)
+        for bound in (ELEVATION_MIN, ELEVATION_MAX) for off in offsets for az in (-0.5, -0.2, 0.0, 0.2, 0.5)
+    ]
+    draws = []
+    for terminal, yaw_deg in ((cfg.ap_pos, cfg.ap_yaw_deg), (cfg.sta_pos, cfg.sta_yaw_deg)):
+        for az, el in angles:
+            for r in (0.37, 0.6, 0.8, 1.0, 1.3, 1.6):
+                d = direction_from_angles(SphericalAngles(az + math.radians(yaw_deg), el))
+                t = [float(c) for c in np.asarray(terminal) + r * d]
+                if all(lo <= c <= hi for c, (lo, hi) in zip(t, box)):
+                    draws += t + partner + partner + t
+    return draws
+
+
+def assert_samplers_agree(cfg, seed, scenes, max_tries=sim._SAMPLER_MAX_TRIES, lead=()):
+    """Both samplers on twin generators that first replay lead: the same
+    scenes, the same generator state after every call, and the same
+    exhaustion."""
     with mock.patch.object(sim, "_SAMPLER_MAX_TRIES", max_tries):
         fast = make_scenario_sampler(cfg)
         slow = reference_scenario_sampler(cfg, max_tries)
-        rng_fast, rng_slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng_fast, rng_slow = ScriptedRng(seed, lead), ScriptedRng(seed, lead)
         for _ in range(scenes):
             try:
                 want = slow(rng_slow)
             except RuntimeError:
                 with pytest.raises(RuntimeError, match="rejection budget"):
                     fast(rng_fast)
-                assert rng_fast.bit_generator.state == rng_slow.bit_generator.state
+                assert rng_fast.state == rng_slow.state
                 return
             got = fast(rng_fast)
             np.testing.assert_array_equal(got.target1_pos, want.target1_pos)
             np.testing.assert_array_equal(got.target2_pos, want.target2_pos)
             assert got.plane_name == want.plane_name
-            assert rng_fast.bit_generator.state == rng_slow.bit_generator.state
+            assert rng_fast.state == rng_slow.state
 
 
 def test_sampler_matches_the_scalar_reference_on_a_shared_stream():
-    assert_samplers_agree(ExperimentConfig(), seed=8, scenes=400)
+    cfg = ExperimentConfig()
+    edges = coverage_edge_draws(cfg)
+    assert len(edges) >= 6 * 50
+    assert_samplers_agree(cfg, seed=8, scenes=400, lead=edges)
 
 
 @st.composite
@@ -264,7 +331,7 @@ edge_boxes = st.sampled_from([
 @settings(max_examples=40)
 @given(cfg=sampler_configs(), seed=st.integers(0, 2**32 - 1))
 def test_sampler_matches_the_scalar_reference_for_drawn_configs(cfg, seed):
-    assert_samplers_agree(cfg, seed, scenes=20, max_tries=400)
+    assert_samplers_agree(cfg, seed, scenes=20, max_tries=400, lead=coverage_edge_draws(cfg))
 
 
 @settings(max_examples=30)
@@ -283,39 +350,7 @@ def test_sampler_matches_the_scalar_reference_on_boxes_straddling_coverage(
         target_box=box, ap_yaw_deg=ap_yaw, sta_yaw_deg=sta_yaw, planes=(plane,),
         min_pair_angle=min_pair_angle,
     )
-    assert_samplers_agree(cfg, seed, scenes=20, max_tries=400)
-
-
-def test_pre_reject_never_drops_a_direction_at_the_coverage_edges():
-    # Directions exactly on each edge of the sector, one ulp and 1e-12 rad
-    # to either side, seen from both terminals under both yaws.
-    def around(edge):
-        return [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf),
-                edge - 1e-12, edge + 1e-12]
-
-    azimuths = around(-AZIMUTH_HALF_SPAN) + around(AZIMUTH_HALF_SPAN) + [0.0]
-    elevations = around(ELEVATION_MIN) + around(ELEVATION_MAX) + [0.5 * math.pi]
-    checked = 0
-    for terminal in (np.zeros(3), np.array([2.0, 0.0, 0.0])):
-        for yaw in (0.0, math.pi):
-            for az in azimuths:
-                for el in elevations:
-                    for r in (0.37, 1.0, 3.0):
-                        target = terminal + r * direction_from_angles(SphericalAngles(az + yaw, el))
-                        d = target - terminal
-                        screened = _surely_uncovered(float(d[0]), float(d[1]), float(d[2]), yaw)
-                        for v in (d, d / np.linalg.norm(d)):
-                            if _in_coverage(_to_local(angles_from_direction(v), yaw)):
-                                checked += 1
-                                assert not screened, (terminal, yaw, az, el, r)
-                    # Clearly outside the sector, the pre-reject does fire.
-                    for off_az, off_el in ((az * (1 + 1e-6), el), (az, el * (1 + 1e-6))):
-                        if abs(off_az) > AZIMUTH_HALF_SPAN + 1e-7 or not (
-                            ELEVATION_MIN - 1e-7 <= off_el <= ELEVATION_MAX + 1e-7
-                        ):
-                            d = direction_from_angles(SphericalAngles(off_az + yaw, off_el))
-                            assert _surely_uncovered(float(d[0]), float(d[1]), float(d[2]), yaw)
-    assert checked > 0
+    assert_samplers_agree(cfg, seed, scenes=20, max_tries=400, lead=coverage_edge_draws(cfg))
 
 
 def test_sampler_is_a_pure_function_of_the_stream():

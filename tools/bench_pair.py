@@ -13,8 +13,10 @@ once in each tree, the parent first in even pairs and the change first
 in odd ones.  The last line bench/run.py prints is one JSON object; its
 metrics are kept per run.
 
-The output file holds the environment and one group per (workload,
-seed, trace): the command, every run, and per metric each side's
+The output file holds the environment, the change's line delta under
+src/ (added, removed and net, from ``git diff --numstat <parent> --
+src``, so tracked files only), and one group per (workload, seed,
+trace): the command, every run, and per metric each side's
 median and quartiles, the change/parent ratio of medians and the
 change's wins, losses and ties over the pairs, judged by the metric's
 ``better`` direction in BENCHMARK.json.  Running again with the same
@@ -66,6 +68,16 @@ def run_bench(tree: Path, argv: list[str]) -> dict:
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"bench/run.py failed in {tree} (exit {proc.returncode}): {proc.stderr[-800:]}")
     return json.loads(lines[-1])
+
+
+def src_line_delta(rev: str) -> dict[str, int]:
+    """Lines added and removed under src/ from commit rev to the working tree."""
+    added = removed = 0
+    for line in git("diff", "--numstat", rev, "--", "src").splitlines():
+        plus, minus, _ = line.split("\t", 2)
+        added += int(plus)
+        removed += int(minus)
+    return {"added": added, "removed": removed, "net": added - removed}
 
 
 def better_directions() -> dict[str, str]:
@@ -154,6 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         "parent_commit": parent_sha,
         "change": f"working tree at {head}" + (" with uncommitted changes" if dirty else ""),
         "env": environment(),
+        "src_lines": src_line_delta(parent_sha),
     })
     if args.description:
         doc["description"] = args.description
