@@ -211,8 +211,11 @@ def angles_from_direction(vec: np.ndarray) -> SphericalAngles:
     norm = float(np.linalg.norm(vec))
     if norm < EPS_PROJECTION:
         raise ZeroVector("cannot take angles of a zero vector")
-    x, y, z = (float(c) / norm for c in vec)
-    elevation = math.acos(max(-1.0, min(1.0, z)))
+    vx, vy, vz = (float(c) for c in vec)
+    x, y = vx / norm, vy / norm
+    # atan2 keeps a small elevation (or one near pi) to a few ulp, where
+    # acos(z / norm) loses it in the rounding of z / norm near +-1.
+    elevation = math.atan2(math.hypot(vx, vy), vz)
     if math.hypot(x, y) < _EPS_ANGLE:
         return SphericalAngles(0.0, elevation)
     return SphericalAngles(math.atan2(y, x), elevation)

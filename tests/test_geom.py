@@ -132,6 +132,16 @@ def test_angles_of_unnormalized_vector():
     assert math.isclose(a.elevation, math.pi)
 
 
+@pytest.mark.parametrize("elevation", [1e-10, 1e-8, 1e-6, 1e-3])
+def test_angles_return_a_small_elevation_to_a_few_ulp(elevation):
+    # Directions at a known angle from +z and from -z, all around the axis.
+    for phi in np.linspace(0.0, TAU, 12, endpoint=False):
+        for z_sign, want in ((1.0, elevation), (-1.0, math.pi - elevation)):
+            shadow = math.sin(elevation)
+            d = np.array([shadow * math.cos(phi), shadow * math.sin(phi), z_sign * math.cos(elevation)])
+            assert abs(angles_from_direction(d).elevation - want) <= 2.0 * math.ulp(want), (phi, z_sign)
+
+
 def test_angles_of_zero_vector_raise():
     with pytest.raises(ZeroVector):
         angles_from_direction(np.zeros(3))

@@ -26,19 +26,19 @@ EXPERIMENT = ExperimentConfig(
 )
 
 EXPERIMENT_SHA256 = {
-    "curve": "0266c557077ee2d0b7e259dfbab3d36d8d8d4247c11cc62595981f246f17b30a",
-    "raw": "aa088804426c2f2f2e1f6a93ed86f07c16b14efee8d5e0367ac85d643ccb9e1b",
+    "curve": "688f8a45daf5330f32af09031407a5247e43153112222b87a6c7e00073401bbe",
+    "raw": "76da0145f7d25cbddf5728d5ffb0ba26cd73479f4c953fd23942893ad8ddad2b",
 }
 
 AUDIT_SHA256 = {
     "frozen": "b607a4d294b5b124a87a65e5e9a77bddf7f226cdd7bae5dc6167a576bab45518",
-    "collinear": "7b358f58e8b838094c799853a0896c9b73aa7a8f7598b64b2fffddcc151c7a40",
-    "baseline-family": "2040ebaa46fa6567b85636660240fd33eee2728119eff18b87516e818c3290a1",
+    "collinear": "d293ed689514017aed79a41b9659d29de4836d81e5d97ca234b182ea9626f9aa",
+    "baseline-family": "dae7526d0591c81d03b36481afd7811a4c37fd2ec2efb8d76659f3126d1c25b8",
     "unsolvable-degenerate": "25bc271b8557bb4bc30789384469c29f7280192ebdd0f0efbf6bb327295ec9bf",
-    "random-yoz": "e41244c28173b923187f29a9a751294eefb7475292bc30f9b17be1338f09c9ee",
-    "random-xoy": "1dae799e0e93f85be878adf2ebda327278da2757a056618bfadafe3aba012867",
-    "noisy-yoz": "882a027bd47ac193902f6c73f0a0266a55037fe9e47a004b8b2d6cbaedf4f1ce",
-    "noisy-xoy": "a861c2afdbdc698a04d8f1eb7800ad9762dbdd05836f358b0ff7196dfd0cc2a1",
+    "random-yoz": "cafe578e4feadc3b4f2df45157352801abfedda1fd7aa395e06e78297a04f624",
+    "random-xoy": "84d404bfa4cd5cd7ab1bf66cdc0e4049da1d129b41522947e38b44bc95b7115b",
+    "noisy-yoz": "130d5bfad11d4d1e98272eedb62fd1092be7a742817fbb6b7c4bf7ef5b86ab20",
+    "noisy-xoy": "0e620d2831bfd63506e87dfccc6079e1816b6195266ad813f48e18fe9f9e3c18",
 }
 
 SELECTION_SHA256 = "661f9b4399336c69c25d64e17441c54c4e2d64f7e7cc155f116f958eaafa0916"
