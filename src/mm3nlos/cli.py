@@ -45,6 +45,7 @@ from .measure import (
 from .sim import (
     CurveRow,
     ExperimentConfig,
+    box_is_covered,
     curve_csv_header,
     format_curve_row,
     format_raw_csv,
@@ -270,6 +271,8 @@ def _resolve_config(
 
 def _run_sweep(args: argparse.Namespace, axis_defaults: Mapping[str, str]) -> int:
     cfg, config_path, config_text, overrides = _resolve_config(args, axis_defaults)
+    if not box_is_covered(cfg):
+        raise ConfigError(f"target_box {cfg.target_box}: no point in it lies in both arrays' angular coverage")
     out_path = Path(args.out or f"mm3nlos-{args.command}.csv")
     raw_path = out_path.with_name(out_path.stem + ".raw.csv") if args.raw else None
     manifest_path = out_path.with_name(out_path.stem + ".manifest.json")

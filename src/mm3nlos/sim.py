@@ -24,6 +24,7 @@ sweep, ftm and aux streams instead of seeding them again.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product
@@ -293,6 +294,57 @@ def _covered(direction: tuple[float, float, float], yaw: float) -> bool:
     )
 
 
+def _point_test(cfg: ExperimentConfig) -> Callable[[tuple[float, float, float]], tuple[float, float] | None]:
+    """The sampler's one-point test, as a function of a candidate
+    reflector.
+
+    It returns the candidate's azimuths on the primary plane, seen from
+    the AP and from the STA, or None when the candidate fails: a
+    direction out of its terminal's angular coverage, a terminal within
+    1 mm, or a direction (nearly) normal to the plane.
+    """
+    ap_x, ap_y, ap_z = (float(c) for c in cfg.ap_pos)
+    sta_x, sta_y, sta_z = (float(c) for c in cfg.sta_pos)
+    plane = ProjectionPlane.from_name(cfg.planes[0])
+    ap_yaw = math.radians(cfg.ap_yaw_deg)
+    sta_yaw = math.radians(cfg.sta_yaw_deg)
+
+    def azimuths(t: tuple[float, float, float]) -> tuple[float, float] | None:
+        x, y, z = t
+        departure = (x - ap_x, y - ap_y, z - ap_z)
+        arrival = (x - sta_x, y - sta_y, z - sta_z)
+        if not (_covered(departure, ap_yaw) and _covered(arrival, sta_yaw)):
+            return None
+        n_dep, n_arr = math.hypot(*departure), math.hypot(*arrival)
+        if min(n_dep, n_arr) < 1e-3:
+            return None
+        try:
+            return (
+                bearing(plane, tuple(c / n_dep for c in departure))[0],
+                bearing(plane, tuple(c / n_arr for c in arrival))[0],
+            )
+        except DegenerateProjection:
+            return None
+
+    return azimuths
+
+
+def box_is_covered(cfg: ExperimentConfig) -> bool:
+    """Whether a point of the config box passes the sampler's one-point
+    test within the sampler's draw budget.
+
+    It draws from a standard-library generator of its own, so no trial
+    stream moves, and a sweep's set-up does not load numpy.random early
+    (about 15 ms).  A box that fails can never fill a sampler slot.
+    """
+    azimuths = _point_test(cfg)
+    rng = random.Random(0)
+    return any(
+        azimuths(tuple(rng.uniform(lo, hi) for lo, hi in cfg.target_box)) is not None
+        for _ in range(2 * _SAMPLER_MAX_TRIES)
+    )
+
+
 def make_scenario_sampler(cfg: ExperimentConfig) -> Callable[[np.random.Generator], Scenario]:
     """Uniform reflector placement in the config box, rejecting scenes
     that are out of angular coverage or degenerate on the primary plane.
@@ -302,46 +354,34 @@ def make_scenario_sampler(cfg: ExperimentConfig) -> Callable[[np.random.Generato
     pair angle within min_pair_angle of collinear, where the solution is
     unstable under measurement noise.
 
-    Each attempt draws six scalar uniforms (reflector 1, then reflector
-    2) and runs every check in plain float math; most attempts fail the
-    coverage check, which comes first.
+    Sampling fills two slots.  Each attempt draws six scalar uniforms,
+    two candidate points, and a candidate that passes the one-point test
+    (_point_test) takes the first empty slot, in draw order.  Once both
+    slots are full, the pair tests (separation and collinear gap) run;
+    on failure both slots are emptied.  The candidates are iid uniform
+    on the box, so an accepted pair has the density of joint rejection,
+    proportional to 1[C(t1)] 1[C(t2)] 1[P(t1, t2)], from about an eighth
+    of its attempts on the default config.
     """
     ap = np.asarray(cfg.ap_pos, dtype=float)
     sta = np.asarray(cfg.sta_pos, dtype=float)
-    ap_x, ap_y, ap_z = (float(c) for c in ap)
-    sta_x, sta_y, sta_z = (float(c) for c in sta)
-    plane = ProjectionPlane.from_name(cfg.planes[0])
-    ap_yaw = math.radians(cfg.ap_yaw_deg)
-    sta_yaw = math.radians(cfg.sta_yaw_deg)
-    yaws = (ap_yaw, sta_yaw, ap_yaw, sta_yaw)
+    azimuths = _point_test(cfg)
     (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = cfg.target_box
 
     def sample(rng: np.random.Generator) -> Scenario:
+        slots: list[tuple[tuple[float, float, float], tuple[float, float]]] = []
         for _ in range(_SAMPLER_MAX_TRIES):
-            t1 = rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi), rng.uniform(z_lo, z_hi)
-            t2 = rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi), rng.uniform(z_lo, z_hi)
-            (x1, y1, z1), (x2, y2, z2) = t1, t2
-            # Departure 1, arrival 1, departure 2, arrival 2.
-            dirs = (
-                (x1 - ap_x, y1 - ap_y, z1 - ap_z),
-                (x1 - sta_x, y1 - sta_y, z1 - sta_z),
-                (x2 - ap_x, y2 - ap_y, z2 - ap_z),
-                (x2 - sta_x, y2 - sta_y, z2 - sta_z),
-            )
-            if not all(map(_covered, dirs, yaws)):
+            for _ in range(2):
+                t = rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi), rng.uniform(z_lo, z_hi)
+                if len(slots) < 2 and (az := azimuths(t)) is not None:
+                    slots.append((t, az))
+            if len(slots) < 2:
                 continue
-            lengths = [math.hypot(*d) for d in dirs]
-            if min(math.dist(t1, t2), *lengths) < 1e-3:
-                continue
-            try:
-                az = [bearing(plane, (dx / n, dy / n, dz / n))[0] for (dx, dy, dz), n in zip(dirs, lengths)]
-            except DegenerateProjection:
-                continue
-            aod_pair = (az[0] - az[2]) % TAU
-            aoa_pair = (az[1] - az[3]) % TAU
-            if min(collinear_gap(aod_pair), collinear_gap(aoa_pair)) < cfg.min_pair_angle:
-                continue
-            return Scenario(ap, sta, np.array(t1), np.array(t2), cfg.planes[0])
+            (t1, (ap1, sta1)), (t2, (ap2, sta2)) = slots
+            gap = min(collinear_gap((ap1 - ap2) % TAU), collinear_gap((sta1 - sta2) % TAU))
+            if math.dist(t1, t2) >= 1e-3 and gap >= cfg.min_pair_angle:
+                return Scenario(ap, sta, np.array(t1), np.array(t2), cfg.planes[0])
+            slots.clear()
         raise RuntimeError("scenario sampler exhausted its rejection budget")
 
     return sample

@@ -131,11 +131,14 @@ def test_config_checks_run_before_any_output(tmp_path, capsys):
     out = tmp_path / "curve.csv"
     for bad in (
         "ftm_sigma_m = 0.01, -0.5", "target_box = 2,0, 0.5,4, -1,1", "snr_db = nan",
+        # A well-formed box behind the AP, where no point is covered.
+        "target_box = -3,-2, 0.5,4, -1,1",
         "min_pair_angle = 1.6", "min_pair_angle = nan", "table_capacity = 0",
     ):
         cfg_path.write_text(TINY_SWEEP + bad + "\n")
         assert main(["sweep-snr", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and bad.split(" =")[0] in err
         assert not out.exists()
         assert not (tmp_path / "curve.manifest.json").exists()
 

@@ -26,8 +26,8 @@ EXPERIMENT = ExperimentConfig(
 )
 
 EXPERIMENT_SHA256 = {
-    "curve": "688f8a45daf5330f32af09031407a5247e43153112222b87a6c7e00073401bbe",
-    "raw": "76da0145f7d25cbddf5728d5ffb0ba26cd73479f4c953fd23942893ad8ddad2b",
+    "curve": "e27d11ef600e2bbcd31da3d036d9fea943c553c6ac9e7e57f153a9ac3ef42b15",
+    "raw": "19a9eb4c6194d4788c3b868206a4501341ae825fb74561f68f0cdede2a40ed98",
 }
 
 AUDIT_SHA256 = {

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_geom import clockwise_angle, project
+from test_geom import TAU, clockwise_angle, project, projector
 
 from mm3nlos import sim
 from mm3nlos.channel import AZIMUTH_HALF_SPAN, ELEVATION_MAX, ELEVATION_MIN, build_codebook, UpaGeometry
 from mm3nlos.geom import (
+    EPS_PROJECTION,
     DegenerateProjection,
     ProjectionPlane,
     SphericalAngles,
@@ -144,48 +145,97 @@ def in_coverage(direction, yaw):
     return abs(local.azimuth) <= AZIMUTH_HALF_SPAN and ELEVATION_MIN <= local.elevation <= ELEVATION_MAX
 
 
-def reference_scenario_sampler(cfg, max_tries=sim._SAMPLER_MAX_TRIES):
-    """The rejection sampler in numpy: every attempt runs the full chain of
-    distance, coverage and degeneracy checks on unit direction vectors,
-    with the projection oracle of test_geom for the pair angles."""
-    ap = np.asarray(cfg.ap_pos, dtype=float)
-    sta = np.asarray(cfg.sta_pos, dtype=float)
+def reference_point_test(cfg):
+    """Oracle of the sampler's one-point test on unit direction vectors: a
+    candidate's projected (AP, STA) directions, or None when it is within
+    1 mm of a terminal, out of either terminal's coverage, or normal to
+    the primary plane."""
     plane = ProjectionPlane.from_name(cfg.planes[0])
-    ap_yaw = math.radians(cfg.ap_yaw_deg)
-    sta_yaw = math.radians(cfg.sta_yaw_deg)
-    (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = cfg.target_box
+    terminals = [
+        (np.asarray(cfg.ap_pos, dtype=float), math.radians(cfg.ap_yaw_deg)),
+        (np.asarray(cfg.sta_pos, dtype=float), math.radians(cfg.sta_yaw_deg)),
+    ]
+
+    def test(t):
+        dirs = [t - origin for origin, _ in terminals]
+        if min(float(np.linalg.norm(d)) for d in dirs) < 1e-3:
+            return None
+        units = [d / np.linalg.norm(d) for d in dirs]
+        if not all(in_coverage(u, yaw) for u, (_, yaw) in zip(units, terminals)):
+            return None
+        try:
+            return [project(plane, u) for u in units]
+        except DegenerateProjection:
+            return None
+
+    return test
+
+
+def reference_scenario_sampler(cfg, max_tries=sim._SAMPLER_MAX_TRIES):
+    """The slot-filling sampler in numpy: each attempt draws two candidate
+    points, a candidate that passes the one-point oracle takes the first
+    empty slot, and once both slots are full the pair tests run (with the
+    projection oracle of test_geom for the pair angles); on failure both
+    slots empty."""
+    plane = ProjectionPlane.from_name(cfg.planes[0])
+    point_test = reference_point_test(cfg)
+
+    def pair_ok(t1, shadows1, t2, shadows2):
+        if float(np.linalg.norm(t1 - t2)) < 1e-3:
+            return False
+        aod_pair = clockwise_angle(plane, shadows1[0], shadows2[0])
+        aoa_pair = clockwise_angle(plane, shadows1[1], shadows2[1])
+        return min(collinear_gap(aod_pair), collinear_gap(aoa_pair)) >= cfg.min_pair_angle
 
     def sample(rng):
+        slots = []
         for _ in range(max_tries):
-            t1 = np.array([rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi), rng.uniform(z_lo, z_hi)])
-            t2 = np.array([rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi), rng.uniform(z_lo, z_hi)])
-            if min(
-                float(np.linalg.norm(t1 - t2)),
-                float(np.linalg.norm(t1 - ap)),
-                float(np.linalg.norm(t1 - sta)),
-                float(np.linalg.norm(t2 - ap)),
-                float(np.linalg.norm(t2 - sta)),
-            ) < 1e-3:
-                continue
-            dirs = {
-                "aod1": t1 - ap, "aod2": t2 - ap,
-                "aoa1": t1 - sta, "aoa2": t2 - sta,
-            }
-            units = {k: v / np.linalg.norm(v) for k, v in dirs.items()}
-            if not all(in_coverage(v, ap_yaw if k.startswith("aod") else sta_yaw) for k, v in units.items()):
-                continue
-            try:
-                shadows = {k: project(plane, v) for k, v in units.items()}
-            except DegenerateProjection:
-                continue
-            aod_pair = clockwise_angle(plane, shadows["aod1"], shadows["aod2"])
-            aoa_pair = clockwise_angle(plane, shadows["aoa1"], shadows["aoa2"])
-            if min(collinear_gap(aod_pair), collinear_gap(aoa_pair)) < cfg.min_pair_angle:
-                continue
-            return Scenario(ap, sta, t1, t2, cfg.planes[0])
+            for _ in range(2):
+                t = np.array([rng.uniform(lo, hi) for lo, hi in cfg.target_box])
+                shadows = point_test(t) if len(slots) < 2 else None
+                if shadows is not None:
+                    slots.append((t, shadows))
+            if len(slots) == 2:
+                if pair_ok(*slots[0], *slots[1]):
+                    return Scenario(cfg.ap_pos, cfg.sta_pos, slots[0][0], slots[1][0], cfg.planes[0])
+                slots = []
         raise RuntimeError("scenario sampler exhausted its rejection budget")
 
     return sample
+
+
+def joint_rejection_pairs(cfg, seed, scenes, batch=20000):
+    """Joint rejection, vectorized: draw reflector pairs uniformly on the
+    box and keep, in draw order, each pair whose two reflectors pass every
+    one-point test and whose pair passes the pair tests.  Returns a
+    (scenes, 2, 3) array."""
+    plane = ProjectionPlane.from_name(cfg.planes[0])
+    _, u1, u2 = projector(plane)
+    lo, hi = np.array(cfg.target_box).T
+    rng = np.random.default_rng(seed)
+    kept = []
+    while sum(len(k) for k in kept) < scenes:
+        pts = rng.uniform(lo, hi, size=(batch, 2, 3))
+        ok = np.linalg.norm(pts[:, 0] - pts[:, 1], axis=-1) >= 1e-3
+        gaps = []
+        for origin, yaw_deg in ((cfg.ap_pos, cfg.ap_yaw_deg), (cfg.sta_pos, cfg.sta_yaw_deg)):
+            d = pts - np.asarray(origin, dtype=float)
+            n = np.linalg.norm(d, axis=-1)
+            unit = d / n[..., None]
+            elevation = np.arctan2(np.hypot(unit[..., 0], unit[..., 1]), unit[..., 2])
+            azimuth = (np.arctan2(unit[..., 1], unit[..., 0]) - math.radians(yaw_deg) + math.pi) % TAU - math.pi
+            x, y = unit @ u1, unit @ u2
+            ok &= np.all(
+                (n >= 1e-3) & (np.abs(azimuth) <= AZIMUTH_HALF_SPAN)
+                & (elevation >= ELEVATION_MIN) & (elevation <= ELEVATION_MAX)
+                & (np.hypot(x, y) >= EPS_PROJECTION),
+                axis=-1,
+            )
+            pair = (np.arctan2(y[:, 0], x[:, 0]) - np.arctan2(y[:, 1], x[:, 1])) % TAU
+            gaps.append(np.minimum.reduce([pair, np.abs(pair - math.pi), TAU - pair]))
+        ok &= np.minimum(*gaps) >= cfg.min_pair_angle
+        kept.append(pts[ok])
+    return np.concatenate(kept)[:scenes]
 
 
 class ScriptedRng:
@@ -195,8 +245,10 @@ class ScriptedRng:
     def __init__(self, seed, lead=()):
         self.gen = np.random.default_rng(seed)
         self.lead = list(lead)
+        self.calls = 0
 
     def uniform(self, lo, hi):
+        self.calls += 1
         if not self.lead:
             return self.gen.uniform(lo, hi)
         value = self.lead.pop(0)
@@ -359,6 +411,54 @@ def test_sampler_is_a_pure_function_of_the_stream():
     b = sample(np.random.default_rng(77))
     np.testing.assert_array_equal(a.target1_pos, b.target1_pos)
     np.testing.assert_array_equal(a.target2_pos, b.target2_pos)
+
+
+def test_every_scene_takes_a_multiple_of_six_uniform_calls():
+    # Each attempt draws two candidate points, whatever the slots hold.
+    sample = make_scenario_sampler(ExperimentConfig(min_pair_angle=0.3))
+    rng = ScriptedRng(3)
+    for _ in range(200):
+        before = rng.calls
+        sample(rng)
+        assert rng.calls > before and (rng.calls - before) % 6 == 0
+
+
+def ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between
+    the two empirical distribution functions."""
+    grid = np.concatenate([a, b])
+    cdf_a = np.searchsorted(np.sort(a), grid, side="right") / len(a)
+    cdf_b = np.searchsorted(np.sort(b), grid, side="right") / len(b)
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+KS_SCENES = 2000
+#: Critical value of the two-sample KS statistic at alpha = 0.001 for two
+#: samples of KS_SCENES: sqrt(-ln(alpha / 2) / 2) * sqrt(2 / KS_SCENES).
+KS_CRITICAL = math.sqrt(-math.log(0.001 / 2) / 2) * math.sqrt(2 / KS_SCENES)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [ExperimentConfig(), ExperimentConfig(min_pair_angle=0.3)],
+    ids=["default", "wide-gap"],
+)
+def test_sampler_draws_the_joint_rejection_distribution(cfg):
+    # Slot filling and joint rejection accept a pair with the same density,
+    # proportional to 1[C(t1)] 1[C(t2)] 1[P(t1, t2)]: compare each reflector
+    # coordinate, and the pair separation, on fixed seeds.
+    sample = make_scenario_sampler(cfg)
+    rng = np.random.default_rng(17)
+    slots = np.array([[s.target1_pos, s.target2_pos] for s in (sample(rng) for _ in range(KS_SCENES))])
+    joint = joint_rejection_pairs(cfg, seed=18, scenes=KS_SCENES)
+    columns = [(f"t{i + 1}[{axis}]", (slice(None), i, axis)) for i in range(2) for axis in range(3)]
+    distances = {
+        name: ks_distance(slots[index], joint[index]) for name, index in columns
+    }
+    distances["separation"] = ks_distance(
+        np.linalg.norm(slots[:, 0] - slots[:, 1], axis=-1), np.linalg.norm(joint[:, 0] - joint[:, 1], axis=-1)
+    )
+    assert max(distances.values()) < KS_CRITICAL, distances
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ metrics are kept per run.
 The output file holds the environment, the change's line delta under
 src/ (added, removed and net, from ``git diff --numstat <parent> --
 src``, so tracked files only), and one group per (workload, seed,
-trace): the command, every run, and per metric each side's
-median and quartiles, the change/parent ratio of medians and the
-change's wins, losses and ties over the pairs, judged by the metric's
-``better`` direction in BENCHMARK.json.  Running again with the same
+trace): the command, every run with its wall seconds, each side's
+median wall seconds (what a check of the change costs), and per metric
+each side's median and quartiles, the change/parent ratio of medians
+and the change's wins, losses and ties over the pairs, judged by the
+metric's ``better`` direction in BENCHMARK.json.  Running again with the same
 output file adds or replaces groups and keeps the others.  The
 temporary tree is removed on exit.
 """
@@ -37,6 +38,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -62,12 +64,15 @@ def bench_argv(workload: str, seed: int, seconds: float, trace: int) -> list[str
 
 
 def run_bench(tree: Path, argv: list[str]) -> dict:
-    """One bench/run.py run in tree; its final JSON line."""
+    """One bench/run.py run in tree: its final JSON line, plus the run's
+    wall seconds as ``wall_s``."""
+    start = time.perf_counter()
     proc = subprocess.run([sys.executable, *argv], cwd=tree, capture_output=True, text=True)
+    wall_s = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"bench/run.py failed in {tree} (exit {proc.returncode}): {proc.stderr[-800:]}")
-    return json.loads(lines[-1])
+    return {**json.loads(lines[-1]), "wall_s": wall_s}
 
 
 def src_line_delta(rev: str) -> dict[str, int]:
@@ -178,6 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         "all_correct": all(r["correct"] for r in runs),
         "failed": {side: sum(r["failed"] for r in runs if r["side"] == side) for side in ("parent", "change")},
         "metrics": summarize(runs, better_directions()),
+        "wall_s_median": {side: statistics.median(r["wall_s"] for r in runs if r["side"] == side) for side in ("parent", "change")},
         "runs": runs,
     }
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
