@@ -183,7 +183,9 @@ def main(argv: list[str] | None = None) -> int:
         "all_correct": all(r["correct"] for r in runs),
         "failed": {side: sum(r["failed"] for r in runs if r["side"] == side) for side in ("parent", "change")},
         "metrics": summarize(runs, better_directions()),
-        "wall_s_median": {side: statistics.median(r["wall_s"] for r in runs if r["side"] == side) for side in ("parent", "change")},
+        "wall_s_median": {
+            side: statistics.median(r["wall_s"] for r in runs if r["side"] == side) for side in ("parent", "change")
+        },
         "runs": runs,
     }
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
