@@ -18,7 +18,9 @@ comparisons and pins every output byte for a given seed; a change to
 how many draws one stream takes leaves the others alone.  Each trial's
 scene, exact paths and channel gains are drawn once, at the first grid
 point, and shared by every later grid point, which rewinds the trial's
-sweep, ftm and aux streams instead of seeding them again.
+sweep, ftm and aux streams instead of seeding them again.  Each trial's
+beam-trained angles are computed once per (array pair, SNR, beam mode)
+and reused across the ranging-noise grid, which only redraws ranges.
 """
 
 from __future__ import annotations
@@ -387,7 +389,12 @@ def make_scenario_sampler(cfg: ExperimentConfig) -> Callable[[np.random.Generato
     return sample
 
 
-def _estimate_path(
+#: One path's beam-trained estimate: global AoD, global AoA, measured
+#: SNR dB and matched SNR dB.
+PathBeams = tuple[SphericalAngles, SphericalAngles, float, float]
+
+
+def _train_beams(
     cfg: ExperimentConfig,
     truth: PathObservation,
     gain: complex,
@@ -396,9 +403,9 @@ def _estimate_path(
     p_t: float,
     noise: float,
     rng: TrialRng,
-    timestamp: int,
-) -> tuple[PathObservation, float]:
-    """Physical-layer estimate of one path; returns (obs, matched SNR dB)."""
+) -> PathBeams:
+    """Beam stage of one path: the swept (and, in aux mode, refined)
+    angles.  It reads the sweep and aux streams and no ranging setting."""
     ap_yaw = math.radians(cfg.ap_yaw_deg)
     sta_yaw = math.radians(cfg.sta_yaw_deg)
     ch = ChannelRealization(
@@ -424,15 +431,7 @@ def _estimate_path(
     n_total = tx_cb.geom.n_elements * rx_cb.geom.n_elements
     matched = p_t * n_total * abs(gain) ** 2
     matched_db = 10.0 * math.log10(matched / noise) if noise > 0.0 and matched > 0.0 else math.inf
-    c_hat = ftm_distance(truth.path_length, FtmConfig(cfg.ftm_sigma_m[0]), rng.ftm)
-    obs = PathObservation(
-        aod=_to_global(best_tx, ap_yaw),
-        aoa=_to_global(best_rx, sta_yaw),
-        path_length=c_hat,
-        snr_db=snr_est,
-        timestamp=timestamp,
-    )
-    return obs, matched_db
+    return _to_global(best_tx, ap_yaw), _to_global(best_rx, sta_yaw), snr_est, matched_db
 
 
 #: Each path's exact observation with its complex channel gain.
@@ -456,11 +455,17 @@ def run_trial(
     rng: TrialRng,
     codebooks: tuple[Codebook, Codebook] | None = None,
     paths: TrialPaths | None = None,
+    beams: dict[tuple, tuple[PathBeams, PathBeams]] | None = None,
 ) -> TrialResult:
     """One end-to-end localization attempt; failures become data.
 
     paths, when given, are the scene's exact paths and gains drawn
     earlier by the caller; otherwise they are drawn here from rng.
+    beams, when given, is the trial's memo of beam-stage results keyed
+    by (tx pair, rx pair, SNR, beam mode): a hit skips the sweep and the
+    refinement, and a miss stores their result.  The memo must come
+    from the same trial, with streams rewound and every other setting
+    unchanged.
     """
     cfg = cfg.single()
     (tx_pair, rx_pair) = cfg.upa_pairs()[0]
@@ -475,9 +480,18 @@ def run_trial(
         p_t, noise = 1.0, 0.0  # exact, noise-free measurements
     else:
         p_t, noise = 10.0 ** (snr / 10.0), 1.0
-    (truth1, gain1), (truth2, gain2) = paths or _trial_paths(scenario, rng)
-    obs1, snr1 = _estimate_path(cfg, truth1, gain1, tx_cb, rx_cb, p_t, noise, rng, timestamp=1)
-    obs2, snr2 = _estimate_path(cfg, truth2, gain2, tx_cb, rx_cb, p_t, noise, rng, timestamp=0)
+    paths = paths or _trial_paths(scenario, rng)
+    beams = {} if beams is None else beams
+    key = (tx_pair, rx_pair, snr, cfg.beam[0])
+    if key not in beams:
+        beams[key] = tuple(
+            _train_beams(cfg, truth, gain, tx_cb, rx_cb, p_t, noise, rng) for truth, gain in paths
+        )
+    (aod1, aoa1, snr_est1, snr1), (aod2, aoa2, snr_est2, snr2) = beams[key]
+    ftm = FtmConfig(cfg.ftm_sigma_m[0])
+    (truth1, _), (truth2, _) = paths
+    obs1 = PathObservation(aod1, aoa1, ftm_distance(truth1.path_length, ftm, rng.ftm), snr_est1, 1)
+    obs2 = PathObservation(aod2, aoa2, ftm_distance(truth2.path_length, ftm, rng.ftm), snr_est2, 0)
     realized = 0.5 * (snr1 + snr2)
 
     table = MeasurementTable(cfg.table_capacity)
@@ -582,7 +596,11 @@ def run_experiment(
     streams, samples its scene and draws its paths and gains; every
     later grid point reuses them and rewinds the trial's streams.  So
     the sampler (``scenario_sampler`` included) is called once per
-    trial, not once per grid point and trial.
+    trial, not once per grid point and trial.  The beam stage (sweep
+    and aux refinement) reads no ranging setting, so each trial keeps
+    its angles per (UPA pair, SNR, mode) and a later sigma point runs
+    only the ranging draw, the table, the selection and the solve;
+    run_trial is still called once per grid point and trial.
     """
     sampler = scenario_sampler or make_scenario_sampler(cfg)
     codebook_cache: dict[tuple[int, int, int], Codebook] = {}
@@ -593,7 +611,7 @@ def run_experiment(
             codebook_cache[key] = build_codebook(UpaGeometry(*pair), cfg.oversampling)
         return codebook_cache[key]
 
-    starts: list[tuple[Scenario, TrialPaths, TrialRng]] = []
+    starts: list[tuple[Scenario, TrialPaths, TrialRng, dict]] = []
     out = ExperimentResult(curve=[], raw=[] if collect_raw else None)
     grid = [
         (pair, snr, sigma, mode)
@@ -616,10 +634,10 @@ def run_experiment(
             if trial == len(starts):
                 rng = TrialRng.from_seed(cfg.seed, trial)
                 scene = sampler(rng.scenario)
-                starts.append((scene, _trial_paths(scene, rng), rng))
-            scene, paths, rng = starts[trial]
+                starts.append((scene, _trial_paths(scene, rng), rng, {}))
+            scene, paths, rng, beams = starts[trial]
             rng.rewind()
-            results.append(run_trial(point_cfg, scene, rng, codebooks=books, paths=paths))
+            results.append(run_trial(point_cfg, scene, rng, codebooks=books, paths=paths, beams=beams))
         out.curve.append(_aggregate(point_cfg, results))
         if collect_raw:
             out.raw.extend(results)

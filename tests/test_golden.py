@@ -30,6 +30,23 @@ EXPERIMENT_SHA256 = {
     "raw": "19a9eb4c6194d4788c3b868206a4501341ae825fb74561f68f0cdede2a40ed98",
 }
 
+# A ranging-noise grid: its later sigma points reuse each trial's
+# beam-trained angles, so this pin covers the beam memo.
+SIGMA = ExperimentConfig(
+    tx_upa=((8, 8),),
+    rx_upa=((8, 8),),
+    snr_db=(10.0, 30.0),
+    ftm_sigma_m=(0.001, 0.05, 0.2),
+    beam=("best", "aux"),
+    trials=20,
+    seed=12,
+)
+
+SIGMA_SHA256 = {
+    "curve": "ebd45b51c96df9032037439b63436c1e6c6491eeee1a48d861bbe3dc7a54b882",
+    "raw": "82004dca5fbae806a1ed3fd4808ca63e6942a33daaee404a56bcb09816f45847",
+}
+
 AUDIT_SHA256 = {
     "frozen": "b607a4d294b5b124a87a65e5e9a77bddf7f226cdd7bae5dc6167a576bab45518",
     "collinear": "d293ed689514017aed79a41b9659d29de4836d81e5d97ca234b182ea9626f9aa",
@@ -101,10 +118,17 @@ def random_cases(plane, seed, n=300):
     return [(*sample_scene(rng, plane), plane) for _ in range(n)]
 
 
+def experiment_hashes(cfg):
+    result = run_experiment(cfg, collect_raw=True)
+    return {"curve": sha256(format_curve_csv(result.curve)), "raw": sha256(format_raw_csv(result))}
+
+
 def test_experiment_csvs_are_pinned():
-    result = run_experiment(EXPERIMENT, collect_raw=True)
-    got = {"curve": sha256(format_curve_csv(result.curve)), "raw": sha256(format_raw_csv(result))}
-    assert got == EXPERIMENT_SHA256
+    assert experiment_hashes(EXPERIMENT) == EXPERIMENT_SHA256
+
+
+def test_sigma_grid_csvs_are_pinned():
+    assert experiment_hashes(SIGMA) == SIGMA_SHA256
 
 
 def test_solver_audit_trail_is_pinned():

@@ -611,17 +611,48 @@ def test_each_trial_is_sampled_once_for_the_whole_grid():
 
 
 def test_grid_points_match_trials_run_from_fresh_streams():
-    # Later grid points rewind each trial's streams and reuse its paths;
-    # every result must equal a trial run from freshly seeded streams.
-    cfg = small_cfg(snr_db=(10.0, 30.0), beam=("best", "aux"), trials=3, seed=6)
+    # Later grid points rewind each trial's streams, reuse its paths and,
+    # at a later sigma, its beam-trained angles; every result must equal
+    # a trial run from freshly seeded streams with no memo.
+    cfg = small_cfg(
+        snr_db=(10.0, 30.0), ftm_sigma_m=(0.01, 0.1), beam=("best", "aux"), trials=3, seed=6
+    )
     out = run_experiment(cfg, collect_raw=True)
+    assert len(out.raw) == 2 * 2 * 2 * cfg.trials
     sample = make_scenario_sampler(cfg)
     for key, got in zip(out.raw_keys, out.raw):
-        _, _, mode, snr, _, trial = key
+        _, _, mode, snr, sigma, trial = key
         rng = TrialRng.from_seed(cfg.seed, trial)
-        want = run_trial(small_cfg(snr_db=(snr,), beam=(mode,), seed=6), sample(rng.scenario), rng)
-        for name in ("status", "distance_error", "realized_snr_db", "est_position"):
+        point = small_cfg(snr_db=(snr,), ftm_sigma_m=(sigma,), beam=(mode,), seed=6)
+        want = run_trial(point, sample(rng.scenario), rng)
+        for name in ("status", "scene", "distance_error", "realized_snr_db", "est_position"):
             np.testing.assert_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize(
+    ("axes", "sweeps", "refines"),
+    [
+        # Five sigma points share one beam stage per path.
+        ({"ftm_sigma_m": (0.0, 0.005, 0.01, 0.02, 0.05), "beam": ("aux",)}, 2, 4),
+        # SNR and mode are in the key: 2 SNR x 2 modes train 4 times.
+        ({"snr_db": (10.0, 30.0), "ftm_sigma_m": (0.01, 0.1), "beam": ("best", "aux")}, 8, 8),
+    ],
+)
+def test_beams_are_trained_once_per_trial_snr_and_mode(axes, sweeps, refines):
+    cfg = small_cfg(trials=3, seed=4, **axes)
+    points = len(cfg.snr_db) * len(cfg.ftm_sigma_m) * len(cfg.beam)
+    with (
+        mock.patch.object(sim, "beam_sweep", wraps=sim.beam_sweep) as sweep,
+        mock.patch.object(sim, "aux_beam_refine", wraps=sim.aux_beam_refine) as refine,
+        mock.patch.object(sim, "ftm_distance", wraps=sim.ftm_distance) as ranging,
+        mock.patch.object(sim, "run_trial", wraps=sim.run_trial) as trial,
+    ):
+        run_experiment(cfg)
+    assert sweep.call_count == sweeps * cfg.trials
+    assert refine.call_count == refines * cfg.trials
+    # One run_trial per op, and every op draws both ranges afresh.
+    assert trial.call_count == points * cfg.trials
+    assert ranging.call_count == 2 * points * cfg.trials
 
 
 def test_progress_callback_sees_every_row():
