@@ -22,6 +22,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields as dataclass_fields
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -414,7 +415,10 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(_flag_name(key), metavar=metavar, help=help_text)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: main parses
+    every argv with the same one."""
     parser = argparse.ArgumentParser(
         prog="mm3nlos",
         description="Two-path reflector localization simulator and solver.",

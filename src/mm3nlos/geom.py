@@ -99,6 +99,8 @@ class PathObservation:
     def __post_init__(self) -> None:
         if not self.path_length > 0.0:
             raise ValueError(f"path_length must be > 0, got {self.path_length}")
+        if math.isnan(self.snr_db):
+            raise ValueError("snr_db must not be NaN")  # it orders partner selection
 
     def bearings(self, plane: "ProjectionPlane") -> tuple[float, float, float, float] | None:
         """(aod azimuth, aod tilt, aoa azimuth, aoa tilt) in the plane, or

@@ -192,6 +192,26 @@ def test_identical_invocations_are_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_consecutive_calls_share_the_parser_but_not_their_arguments(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(TINY_SWEEP)
+    first = tmp_path / "first.csv"
+    argv = ["sweep-snr", "--config", str(cfg_path), "--snr-db", "10,20", "--seed", "5", "--raw", "--out"]
+    assert main(argv + [str(first)]) == 0
+    second = tmp_path / "second.csv"
+    assert main(["sweep-ftm", "--config", str(cfg_path), "--out", str(second)]) == 0
+    manifest = json.loads((tmp_path / "second.manifest.json").read_text())
+    assert manifest["command"] == "sweep-ftm"
+    assert manifest["overrides"] == {}
+    assert manifest["seed"] == 1  # the file's seed, not the first call's flag
+    assert manifest["effective_config"]["snr_db"] == [20.0]
+    assert manifest["outputs"] == [str(second)]
+    assert not (tmp_path / "second.raw.csv").exists()
+    assert len(second.read_text().splitlines()) == 1 + 5  # the documented sigma axis
+    capsys.readouterr()
+
+
 def test_axis_defaults_yield_the_documented_grid(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg_path = tmp_path / "run.cfg"
@@ -314,6 +334,19 @@ def test_solve_once_repeated_timestamps_exit_two(tmp_path, capsys):
     assert main(["solve-once", str(records)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "not after latest" in err
+
+
+def test_solve_once_rejects_a_nan_snr(tmp_path, capsys):
+    records = tmp_path / "nan.records"
+    historical = record_line(T2, ts=0, tag="historical", snr=20.0)
+    assert historical.endswith(",20.0,historical")
+    records.write_text(
+        record_line(T1, ts=1, tag="current") + "\n"
+        + historical.replace(",20.0,", ",nan,") + "\n"
+    )
+    assert main(["solve-once", "--config", scene_config(tmp_path), str(records)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {records}: ") and "snr_db" in err
 
 
 def test_oracle_check_reports_all_passes(capsys):

@@ -290,6 +290,22 @@ def test_parse_rejects_malformed_lines():
         parse_record("1,0.1,1.0,0.1,2.0,4.0,10.0,stale")  # unknown tag
 
 
+def test_a_nan_snr_is_rejected_and_infinite_ones_are_kept():
+    # A NaN key would make the SNR-ordered selection depend on insertion order.
+    for text in ("nan", "-nan", "NaN"):
+        with pytest.raises(ValueError, match="snr_db"):
+            parse_record(f"1,0.1,1.0,0.1,2.0,4.0,{text},historical")
+    with pytest.raises(ValueError, match="snr_db"):
+        obs(1.0, 2.0, snr=math.nan)
+    assert parse_record("1,0.1,1.0,0.1,2.0,4.0,-inf,historical").observation.snr_db == -math.inf
+    table = MeasurementTable()
+    table.add(obs(1.3, 2.4, snr=-math.inf, ts=1))
+    table.add(obs(1.5, 2.6, snr=math.inf, ts=2))
+    table.add(obs(1.7, 2.8, snr=30.0, ts=3))
+    picked = select_historical(table, obs(1.0, 2.0, ts=9), k=3, plane=YOZ)
+    assert [p.timestamp for p in picked] == [2, 3, 1]
+
+
 def test_parse_records_round_trips_a_table_byte_for_byte():
     table = MeasurementTable(capacity=8)
     rng = np.random.default_rng(6)
