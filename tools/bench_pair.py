@@ -5,9 +5,12 @@ Usage, from the root of the checkout:
     python3 tools/bench_pair.py --parent HEAD~1 --workload mc-8x8-aux-ftm \
         --seed 1 --pairs 10 --seconds 30 --out BENCH_9.json
 
-The parent commit is extracted with ``git archive`` into a temporary
-directory (no worktree, so nothing is left in the repository's .git),
-and the change is this checkout's working tree.  Each pair runs
+--workload takes one name or a comma-separated list; the workloads run
+one after another, each with all its pairs, against one extraction of
+the parent.  The parent commit is extracted with ``git archive`` into a
+temporary directory (no worktree, so nothing is left in the
+repository's .git), and the change is this checkout's working tree.
+Each pair runs
 ``python3 bench/run.py --workload W --seed S --seconds T --trace X``
 once in each tree, the parent first in even pairs and the change first
 in odd ones.  The last line bench/run.py prints is one JSON object; its
@@ -136,7 +139,7 @@ def environment() -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit to compare against (e.g. HEAD~1)")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help="workload name, or a comma-separated list")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
@@ -148,19 +151,28 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 
+    workloads = [w.strip() for w in args.workload.split(",") if w.strip()]
+    if not workloads:
+        parser.error("--workload names no workload")
+
     parent_sha = git("rev-parse", args.parent)
-    argv_bench = bench_argv(args.workload, args.seed, args.seconds, args.trace)
     tmp = Path(tempfile.mkdtemp(prefix="bench_pair-", dir=args.workdir))
-    runs = []
+    runs: dict[str, list[dict]] = {}
     try:
         extract(parent_sha, tmp)
         trees = {"parent": tmp, "change": ROOT}
-        for pair in range(args.pairs):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for position, side in enumerate(order):
-                result = run_bench(trees[side], argv_bench)
-                runs.append({"pair": pair, "side": side, "position": position, **result})
-                print(f"pair {pair} {side}: correct={result['correct']} failed={result['failed']}", file=sys.stderr)
+        for workload in workloads:
+            argv_bench = bench_argv(workload, args.seed, args.seconds, args.trace)
+            runs[workload] = []
+            for pair in range(args.pairs):
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for position, side in enumerate(order):
+                    result = run_bench(trees[side], argv_bench)
+                    runs[workload].append({"pair": pair, "side": side, "position": position, **result})
+                    print(
+                        f"{workload} pair {pair} {side}: correct={result['correct']} failed={result['failed']}",
+                        file=sys.stderr,
+                    )
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -175,19 +187,22 @@ def main(argv: list[str] | None = None) -> int:
     })
     if args.description:
         doc["description"] = args.description
-    key = f"{args.workload} seed {args.seed} trace {args.trace}"
-    doc.setdefault("groups", {})[key] = {
-        "command": "python3 " + " ".join(argv_bench),
-        "pairs": args.pairs,
-        "order": "parent first in even pairs, change first in odd pairs",
-        "all_correct": all(r["correct"] for r in runs),
-        "failed": {side: sum(r["failed"] for r in runs if r["side"] == side) for side in ("parent", "change")},
-        "metrics": summarize(runs, better_directions()),
-        "wall_s_median": {
-            side: statistics.median(r["wall_s"] for r in runs if r["side"] == side) for side in ("parent", "change")
-        },
-        "runs": runs,
-    }
+    better = better_directions()
+    for workload, group in runs.items():
+        key = f"{workload} seed {args.seed} trace {args.trace}"
+        doc.setdefault("groups", {})[key] = {
+            "command": "python3 " + " ".join(bench_argv(workload, args.seed, args.seconds, args.trace)),
+            "pairs": args.pairs,
+            "order": "parent first in even pairs, change first in odd pairs",
+            "all_correct": all(r["correct"] for r in group),
+            "failed": {side: sum(r["failed"] for r in group if r["side"] == side) for side in ("parent", "change")},
+            "metrics": summarize(group, better),
+            "wall_s_median": {
+                side: statistics.median(r["wall_s"] for r in group if r["side"] == side)
+                for side in ("parent", "change")
+            },
+            "runs": group,
+        }
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 
