@@ -228,7 +228,9 @@ class RunManifest:
     status: str = "running"
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        # The fields are plain JSON values already, so vars() serves; asdict
+        # would deep-copy them on every write.
+        return json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
 
 
 def _utc_now() -> str:
