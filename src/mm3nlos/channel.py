@@ -323,26 +323,32 @@ def _invert_ratio(n: int, pitch: float, half: float, measured: float, reach: flo
     Otherwise safeguarded Newton from 0 on the analytic slope: each
     step shrinks a bracket around the root, a step that would leave it
     bisects instead, and the loop ends at a step of a few ulp of reach
-    or after _NEWTON_MAX_STEPS.
+    or after _NEWTON_MAX_STEPS.  The ratio is odd in x, bit for bit, and
+    the slope is odd in the offset, so the end values are one value of
+    opposite signs, and at x = 0 the ratio is 0 and the slope pair is
+    -2 slope(half): the first step evaluates neither.
     """
     lo, hi = -reach, reach
-    if measured <= _log_gain_ratio(n, pitch, half, lo):
+    top = _log_gain_ratio(n, pitch, half, hi)
+    if measured <= -top:
         return lo
-    if measured >= _log_gain_ratio(n, pitch, half, hi):
+    if measured >= top:
         return hi
     tol = 4.0 * math.ulp(reach)
     x = 0.0
+    f = 0.0 - measured
+    slope = -2.0 * _log_gain_slope(n, pitch, half)
     for _ in range(_NEWTON_MAX_STEPS):
-        f = _log_gain_ratio(n, pitch, half, x) - measured
         if f < 0.0:
             lo = x
         else:
             hi = x
-        slope = _log_gain_slope(n, pitch, x - half) - _log_gain_slope(n, pitch, x + half)
         step = f / slope if slope > 0.0 else math.inf
         if abs(step) <= tol or hi - lo <= tol:
             return min(hi, max(lo, x - step))
         x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+        f = _log_gain_ratio(n, pitch, half, x) - measured
+        slope = _log_gain_slope(n, pitch, x - half) - _log_gain_slope(n, pitch, x + half)
     return x
 
 

@@ -411,6 +411,17 @@ def _oracle_check(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
+def _scene_count(text: str) -> int:
+    """--scenes: an integer >= 1 (each random check needs a scene)."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
     for key, (metavar, help_text) in _FLAGS.items():
@@ -446,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="noiseless round-trip self-test")
     _add_common_flags(p)
-    p.add_argument("--scenes", type=int, default=500, help="scenes per check")
+    p.add_argument("--scenes", type=_scene_count, default=500, help="scenes per check (>= 1)")
     p.set_defaults(handler=_oracle_check)
     return parser
 

@@ -18,9 +18,11 @@ comparisons and pins every output byte for a given seed; a change to
 how many draws one stream takes leaves the others alone.  Each trial's
 scene, exact paths and channel gains are drawn once, at the first grid
 point, and shared by every later grid point, which rewinds the trial's
-sweep, ftm and aux streams instead of seeding them again.  Each trial's
-beam-trained angles are computed once per (array pair, SNR, beam mode)
-and reused across the ranging-noise grid, which only redraws ranges.
+streams it draws from instead of seeding them again.  Each trial's
+beam-trained observations are computed once per (array pair, SNR, beam
+mode) and reused across the ranging-noise grid: a later sigma point
+rewinds only the ftm stream, redraws only the ranges, and reads the
+bearings the trained observations already hold.
 """
 
 from __future__ import annotations
@@ -92,10 +94,7 @@ class TrialRng:
     stream).
 
     aux is built on its first use, so a trial that never refines a beam
-    builds no fifth generator.  rewind() returns sweep, ftm and (once
-    built) aux to their state at construction: the streams each grid
-    point consumes afresh.  Restoring a state costs about a tenth of
-    seeding a generator.
+    builds no fifth generator.
     """
 
     scenario: np.random.Generator
@@ -127,9 +126,16 @@ class TrialRng:
         self._start["aux"] = gen.bit_generator.state
         return gen
 
-    def rewind(self) -> None:
-        for name, state in self._start.items():
-            getattr(self, name).bit_generator.state = state
+    def rewind(self, *names: str) -> None:
+        """Return the named streams to their state at construction.
+
+        With no name: sweep, ftm and (once built) aux, every stream a
+        grid point consumes afresh; a point that reuses its trial's beam
+        stage names only "ftm".  Restoring a state costs about a tenth
+        of seeding a generator.
+        """
+        for name in names or self._start:
+            getattr(self, name).bit_generator.state = self._start[name]
 
 
 @dataclass(frozen=True)
@@ -143,15 +149,13 @@ class Scenario:
     plane_name: str = "yoz"
 
     def __post_init__(self) -> None:
-        pts = [
-            np.asarray(p, dtype=float)
-            for p in (self.ap_pos, self.sta_pos, self.target1_pos, self.target2_pos)
-        ]
-        for name, p in zip(("ap_pos", "sta_pos", "target1_pos", "target2_pos"), pts):
-            object.__setattr__(self, name, p)
+        names = ("ap_pos", "sta_pos", "target1_pos", "target2_pos")
+        for name in names:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        pts = [getattr(self, name).tolist() for name in names]
         for i in range(4):
             for j in range(i + 1, 4):
-                if float(np.linalg.norm(pts[i] - pts[j])) < 1e-9:
+                if math.dist(pts[i], pts[j]) < 1e-9:
                     raise ValueError("scenario points must be pairwise distinct")
 
 
@@ -389,9 +393,12 @@ def make_scenario_sampler(cfg: ExperimentConfig) -> Callable[[np.random.Generato
     return sample
 
 
-#: One path's beam-trained estimate: global AoD, global AoA, measured
-#: SNR dB and matched SNR dB.
-PathBeams = tuple[SphericalAngles, SphericalAngles, float, float]
+#: One path's beam-trained estimate and its matched SNR dB.  The
+#: observation holds the global AoD and AoA, the measured SNR dB and the
+#: path's timestamp; its path length is the true one, which run_trial
+#: replaces by a ranged copy (PathObservation.with_path_length) that
+#: shares the observation's bearings.
+PathBeams = tuple[PathObservation, float]
 
 
 def _train_beams(
@@ -405,7 +412,8 @@ def _train_beams(
     rng: TrialRng,
 ) -> PathBeams:
     """Beam stage of one path: the swept (and, in aux mode, refined)
-    angles.  It reads the sweep and aux streams and no ranging setting."""
+    observation.  It reads the sweep and aux streams and no ranging
+    setting."""
     ap_yaw = math.radians(cfg.ap_yaw_deg)
     sta_yaw = math.radians(cfg.sta_yaw_deg)
     ch = ChannelRealization(
@@ -431,7 +439,10 @@ def _train_beams(
     n_total = tx_cb.geom.n_elements * rx_cb.geom.n_elements
     matched = p_t * n_total * abs(gain) ** 2
     matched_db = 10.0 * math.log10(matched / noise) if noise > 0.0 and matched > 0.0 else math.inf
-    return _to_global(best_tx, ap_yaw), _to_global(best_rx, sta_yaw), snr_est, matched_db
+    trained = PathObservation(
+        _to_global(best_tx, ap_yaw), _to_global(best_rx, sta_yaw), truth.path_length, snr_est, truth.timestamp
+    )
+    return trained, matched_db
 
 
 #: Each path's exact observation with its complex channel gain.
@@ -462,10 +473,13 @@ def run_trial(
     paths, when given, are the scene's exact paths and gains drawn
     earlier by the caller; otherwise they are drawn here from rng.
     beams, when given, is the trial's memo of beam-stage results keyed
-    by (tx pair, rx pair, SNR, beam mode): a hit skips the sweep and the
-    refinement, and a miss stores their result.  The memo must come
-    from the same trial, with streams rewound and every other setting
-    unchanged.
+    by (tx pair, rx pair, SNR, beam mode), and run_trial rewinds the
+    streams the point draws from.  A hit rewinds only ftm, skips the
+    sweep and the refinement, and ranges copies of the memo's trained
+    observations that share their bearings; a miss rewinds every stream
+    and stores the beam stage's result.  The memo must come from the
+    same trial, with every other setting unchanged.  Without a memo,
+    run_trial draws from rng as it stands.
     """
     cfg = cfg.single()
     (tx_pair, rx_pair) = cfg.upa_pairs()[0]
@@ -481,17 +495,21 @@ def run_trial(
     else:
         p_t, noise = 10.0 ** (snr / 10.0), 1.0
     paths = paths or _trial_paths(scenario, rng)
-    beams = {} if beams is None else beams
     key = (tx_pair, rx_pair, snr, cfg.beam[0])
+    if beams is None:
+        beams = {}
+    elif key in beams:
+        rng.rewind("ftm")
+    else:
+        rng.rewind()
     if key not in beams:
         beams[key] = tuple(
             _train_beams(cfg, truth, gain, tx_cb, rx_cb, p_t, noise, rng) for truth, gain in paths
         )
-    (aod1, aoa1, snr_est1, snr1), (aod2, aoa2, snr_est2, snr2) = beams[key]
+    (trained1, snr1), (trained2, snr2) = beams[key]
     ftm = FtmConfig(cfg.ftm_sigma_m[0])
-    (truth1, _), (truth2, _) = paths
-    obs1 = PathObservation(aod1, aoa1, ftm_distance(truth1.path_length, ftm, rng.ftm), snr_est1, 1)
-    obs2 = PathObservation(aod2, aoa2, ftm_distance(truth2.path_length, ftm, rng.ftm), snr_est2, 0)
+    obs1 = trained1.with_path_length(ftm_distance(trained1.path_length, ftm, rng.ftm))
+    obs2 = trained2.with_path_length(ftm_distance(trained2.path_length, ftm, rng.ftm))
     realized = 0.5 * (snr1 + snr2)
 
     table = MeasurementTable(cfg.table_capacity)
@@ -513,7 +531,7 @@ def run_trial(
             scene = result.scene
 
     if positions:
-        est = np.mean(positions, axis=0)
+        est = sum(positions) / len(positions)  # np.mean's arithmetic, bit for bit
         err = float(np.linalg.norm(est - scenario.target1_pos))
         return TrialResult(scenario.target1_pos, est, err, scene, realized, "ok")
     nan3 = np.full(3, math.nan)
@@ -559,8 +577,7 @@ def _aggregate(point_cfg: ExperimentConfig, results: list[TrialResult]) -> Curve
     if n_ok:
         mean = float(errs.mean())
         stderr = float(errs.std(ddof=1) / math.sqrt(n_ok)) if n_ok > 1 else math.nan
-        p50 = float(np.percentile(errs, 50))
-        p90 = float(np.percentile(errs, 90))
+        p50, p90 = (float(p) for p in np.percentile(errs, (50, 90)))
     else:
         mean = stderr = p50 = p90 = math.nan
     return CurveRow(
@@ -594,13 +611,15 @@ def run_experiment(
     sees the same scenes, gains, ranging and refinement noise draws.
     The first time the trial loop reaches trial t, it seeds the trial's
     streams, samples its scene and draws its paths and gains; every
-    later grid point reuses them and rewinds the trial's streams.  So
-    the sampler (``scenario_sampler`` included) is called once per
-    trial, not once per grid point and trial.  The beam stage (sweep
-    and aux refinement) reads no ranging setting, so each trial keeps
-    its angles per (UPA pair, SNR, mode) and a later sigma point runs
-    only the ranging draw, the table, the selection and the solve;
-    run_trial is still called once per grid point and trial.
+    later grid point reuses them, and run_trial rewinds the streams the
+    point draws from.  So the sampler (``scenario_sampler`` included) is
+    called once per trial, not once per grid point and trial.  The beam
+    stage (sweep and aux refinement) reads no ranging setting, so each
+    trial keeps its trained observations per (UPA pair, SNR, mode), and
+    a later sigma point runs only the ranging draws, the table, the
+    selection, the solve and the error, on bearings computed once per
+    trial and plane; run_trial is still called once per grid point and
+    trial.
     """
     sampler = scenario_sampler or make_scenario_sampler(cfg)
     codebook_cache: dict[tuple[int, int, int], Codebook] = {}
@@ -636,7 +655,6 @@ def run_experiment(
                 scene = sampler(rng.scenario)
                 starts.append((scene, _trial_paths(scene, rng), rng, {}))
             scene, paths, rng, beams = starts[trial]
-            rng.rewind()
             results.append(run_trial(point_cfg, scene, rng, codebooks=books, paths=paths, beams=beams))
         out.curve.append(_aggregate(point_cfg, results))
         if collect_raw:
@@ -692,8 +710,7 @@ def format_raw_csv(result: ExperimentResult) -> str:
         scene = "" if r.scene is None else str(r.scene.code)
         cells = (
             tx, rx, mode, repr(float(snr)), repr(float(sigma)), str(trial), r.status, scene,
-            repr(float(r.true_position[0])), repr(float(r.true_position[1])), repr(float(r.true_position[2])),
-            repr(float(r.est_position[0])), repr(float(r.est_position[1])), repr(float(r.est_position[2])),
+            *(repr(c) for c in r.true_position.tolist()), *(repr(c) for c in r.est_position.tolist()),
             repr(float(r.distance_error)), repr(float(r.realized_snr_db)),
         )
         lines.append(",".join(cells))
@@ -704,8 +721,10 @@ def run_oracle_suite(seed: int = 0, scenes: int = 500) -> list[tuple[str, bool, 
     """Noiseless round-trip checks used by the command-line oracle-check.
 
     Returns (name, passed, detail) triples; all should pass on a healthy
-    build.
+    build.  scenes (>= 1) is the scene count of each random check.
     """
+    if scenes < 1:
+        raise ValueError(f"scenes must be >= 1, got {scenes}")
     rng = np.random.default_rng(seed)
     cfg = ExperimentConfig()
     sampler = make_scenario_sampler(cfg)

@@ -355,3 +355,12 @@ def test_oracle_check_reports_all_passes(capsys):
     assert rc == 0
     assert "3/3 checks passed" in out
     assert out.count("pass") >= 3
+
+
+@pytest.mark.parametrize("scenes", ["0", "-3", "two"])
+def test_oracle_check_rejects_a_scene_count_below_one(scenes, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-check", "--scenes", scenes])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--scenes" in captured.err and captured.out == ""

@@ -47,6 +47,15 @@ SIGMA_SHA256 = {
     "raw": "82004dca5fbae806a1ed3fd4808ca63e6942a33daaee404a56bcb09816f45847",
 }
 
+# The sigma grid on two planes: most trials average two positions, and
+# both planes' bearings come from the trial's shared observations.
+MULTI_PLANE = dataclasses.replace(SIGMA, planes=("yoz", "xoy"), trials=12, seed=13)
+
+MULTI_PLANE_SHA256 = {
+    "curve": "f1f3fb959069e2397219a2debbff38582759e4c1a51b0729d312228c01ec0dcd",
+    "raw": "1c6780667187a3ed8fbd09242ae0cb94364cfa154b30f9cd5f0cf92cb885612e",
+}
+
 AUDIT_SHA256 = {
     "frozen": "b607a4d294b5b124a87a65e5e9a77bddf7f226cdd7bae5dc6167a576bab45518",
     "collinear": "d293ed689514017aed79a41b9659d29de4836d81e5d97ca234b182ea9626f9aa",
@@ -129,6 +138,10 @@ def test_experiment_csvs_are_pinned():
 
 def test_sigma_grid_csvs_are_pinned():
     assert experiment_hashes(SIGMA) == SIGMA_SHA256
+
+
+def test_multi_plane_sigma_grid_csvs_are_pinned():
+    assert experiment_hashes(MULTI_PLANE) == MULTI_PLANE_SHA256
 
 
 def test_solver_audit_trail_is_pinned():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_geom import TAU, clockwise_angle, project, projector
 
-from mm3nlos import sim
+from mm3nlos import geom, sim
 from mm3nlos.channel import AZIMUTH_HALF_SPAN, ELEVATION_MAX, ELEVATION_MIN, build_codebook, UpaGeometry
 from mm3nlos.geom import (
     EPS_PROJECTION,
@@ -655,6 +655,41 @@ def test_beams_are_trained_once_per_trial_snr_and_mode(axes, sweeps, refines):
     assert ranging.call_count == 2 * points * cfg.trials
 
 
+def test_bearings_are_taken_once_per_trial_and_plane_across_the_sigma_grid():
+    # Each trial's two trained observations carry one bearing memo that
+    # every sigma point's range-only copies share: two bearings per
+    # observation and plane, whatever the grid's sigma count.
+    cfg = small_cfg(ftm_sigma_m=(0.0, 0.005, 0.01, 0.02, 0.05), planes=("yoz", "xoy"), trials=3, seed=4)
+    with mock.patch("mm3nlos.geom.bearing", wraps=geom.bearing) as counted:
+        run_experiment(cfg)
+    assert counted.call_count == 4 * len(cfg.planes) * cfg.trials
+
+
+def test_a_memo_hit_rewinds_only_the_ftm_stream():
+    cfg = small_cfg(beam=("aux",), seed=4)
+    rng = TrialRng.from_seed(4, 0)
+    scene = make_scenario_sampler(cfg)(rng.scenario)
+    paths = sim._trial_paths(scene, rng)
+    beams = {}
+    first = run_trial(cfg, scene, rng, paths=paths, beams=beams)
+    ranged = rng.ftm.bit_generator.state
+    rng.sweep.standard_normal()
+    rng.aux.standard_normal()
+    moved = {name: getattr(rng, name).bit_generator.state for name in ("sweep", "aux")}
+    with mock.patch.object(sim, "beam_sweep") as sweep:
+        again = run_trial(cfg, scene, rng, paths=paths, beams=beams)
+    sweep.assert_not_called()
+    assert {name: getattr(rng, name).bit_generator.state for name in ("sweep", "aux")} == moved
+    assert rng.ftm.bit_generator.state == ranged
+    np.testing.assert_equal(again.est_position, first.est_position)
+    # A miss (a new SNR) rewinds every stream and trains afresh.
+    point = small_cfg(beam=("aux",), snr_db=(10.0,), seed=4)
+    want = run_trial(point, scene, TrialRng.from_seed(4, 0))
+    got = run_trial(point, scene, rng, paths=paths, beams=beams)
+    np.testing.assert_equal(got.est_position, want.est_position)
+    assert len(beams) == 2
+
+
 def test_progress_callback_sees_every_row():
     cfg = small_cfg(snr_db=(0.0, 20.0), trials=2)
     seen = []
@@ -709,6 +744,12 @@ def test_oracle_suite_is_green():
     results = run_oracle_suite(seed=1, scenes=60)
     assert [name for name, ok, _ in results if not ok] == []
     assert len(results) == 3
+
+
+@pytest.mark.parametrize("scenes", [0, -3])
+def test_oracle_suite_rejects_a_scene_count_below_one(scenes):
+    with pytest.raises(ValueError, match="scenes"):
+        run_oracle_suite(seed=1, scenes=scenes)
 
 
 def test_oracle_suite_lets_programmer_errors_escape(monkeypatch):

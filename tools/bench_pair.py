@@ -23,9 +23,15 @@ trace): the command, every run with its wall seconds, each side's
 median wall seconds (what a check of the change costs), and per metric
 each side's median and quartiles, the change/parent ratio of medians
 and the change's wins, losses and ties over the pairs, judged by the
-metric's ``better`` direction in BENCHMARK.json.  Running again with the same
-output file adds or replaces groups and keeps the others.  The
-temporary tree is removed on exit.
+metric's ``better`` direction in BENCHMARK.json.  Each metric also gets
+a verdict: ``claim_rule_met`` (the change wins at least 90% of the pairs
+and its median beats the parent's by more than the parent's IQR), and
+each end-to-end metric ``beyond_bound`` (the change's median is worse
+than the parent's by more than the metric's BENCHMARK.json bound, a
+fraction of the parent's median).  One stderr line per group names the
+metrics beyond their bounds.  Running again with the same output file
+adds or replaces groups and keeps the others.  The temporary tree is
+removed on exit.
 """
 
 from __future__ import annotations
@@ -88,9 +94,11 @@ def src_line_delta(rev: str) -> dict[str, int]:
     return {"added": added, "removed": removed, "net": added - removed}
 
 
-def better_directions() -> dict[str, str]:
+def metric_specs() -> dict[str, dict]:
+    """BENCHMARK.json's metric entries by name: ``better``, and ``bound``
+    for the end-to-end ones."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in (*spec["end_to_end"], *spec["per_layer"])}
+    return {m["name"]: m for m in (*spec["end_to_end"], *spec["per_layer"])}
 
 
 def spread(values: list[float]) -> dict[str, float]:
@@ -98,13 +106,15 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's spread, the ratio of medians and the change's pairwise record."""
+def summarize(runs: list[dict], specs: dict[str, dict]) -> dict:
+    """Per metric: each side's spread, the ratio of medians, the change's
+    pairwise record and its verdicts."""
     sides = {side: [r for r in runs if r["side"] == side] for side in ("parent", "change")}
     out = {}
     for name, first in sides["parent"][0]["metrics"].items():
         values = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in sides.items()}
-        direction = better.get(name, "")
+        spec = specs.get(name, {})
+        direction = spec.get("better", "")
         record = {"wins": 0, "losses": 0, "ties": 0}
         for p, c in zip(values["parent"], values["change"]):
             if p == c or direction not in ("higher", "lower"):
@@ -114,6 +124,10 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             else:
                 record["losses"] += 1
         parent, change = spread(values["parent"]), spread(values["change"])
+        # The change's median gain over the parent's, positive when better.
+        sign = {"higher": 1.0, "lower": -1.0}.get(direction, 0.0)
+        gain = sign * (change["median"] - parent["median"])
+        pairs = len(values["change"])
         out[name] = {
             "unit": first["unit"],
             "better": direction,
@@ -121,7 +135,10 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             "change": change,
             "ratio": change["median"] / parent["median"] if parent["median"] else None,
             **record,
+            "claim_rule_met": bool(sign) and record["wins"] >= 0.9 * pairs and gain > parent["iqr"],
         }
+        if "bound" in spec:
+            out[name]["beyond_bound"] = -gain > spec["bound"] * abs(parent["median"])
     return out
 
 
@@ -187,16 +204,19 @@ def main(argv: list[str] | None = None) -> int:
     })
     if args.description:
         doc["description"] = args.description
-    better = better_directions()
+    specs = metric_specs()
     for workload, group in runs.items():
         key = f"{workload} seed {args.seed} trace {args.trace}"
+        metrics = summarize(group, specs)
+        beyond = sorted(name for name, m in metrics.items() if m.get("beyond_bound"))
+        print(f"{key}: beyond bound: {', '.join(beyond) or 'none'}", file=sys.stderr)
         doc.setdefault("groups", {})[key] = {
             "command": "python3 " + " ".join(bench_argv(workload, args.seed, args.seconds, args.trace)),
             "pairs": args.pairs,
             "order": "parent first in even pairs, change first in odd pairs",
             "all_correct": all(r["correct"] for r in group),
             "failed": {side: sum(r["failed"] for r in group if r["side"] == side) for side in ("parent", "change")},
-            "metrics": summarize(group, better),
+            "metrics": metrics,
             "wall_s_median": {
                 side: statistics.median(r["wall_s"] for r in group if r["side"] == side)
                 for side in ("parent", "change")
