@@ -196,6 +196,14 @@ def _complex_noise(rng: np.random.Generator, shape, noise_power: float) -> np.nd
     return sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+def power_db(power: float, noise_power: float) -> float:
+    """SNR in dB of a power against a noise power: infinite with no
+    noise, minus infinity at zero power."""
+    if noise_power == 0.0:
+        return math.inf
+    return 10.0 * math.log10(power / noise_power) if power > 0.0 else -math.inf
+
+
 def beam_sweep(
     ch: ChannelRealization,
     tx_cb: Codebook,
@@ -254,10 +262,7 @@ def beam_sweep(
         power = np.abs(full) ** 2
         j, i = np.unravel_index(int(np.argmax(power)), power.shape)
         best = float(power[j, i])
-    snr_db = math.inf if noise_power == 0.0 else (
-        10.0 * math.log10(best / noise_power) if best > 0.0 else -math.inf
-    )
-    return tx_cb.steerings[int(i)], rx_cb.steerings[int(j)], snr_db
+    return tx_cb.steerings[int(i)], rx_cb.steerings[int(j)], power_db(best, noise_power)
 
 
 def _array_gain(n: int, t: float) -> float:

@@ -15,23 +15,18 @@ channel, sweep, ftm, and aux for the auxiliary-beam refinement), each
 seeded by (seed, trial, stream).  Grid points therefore share scenes,
 channel gains, ranging noise and refinement noise, which pairs their
 comparisons and pins every output byte for a given seed; a change to
-how many draws one stream takes leaves the others alone.  Each trial's
-scene, exact paths and channel gains are drawn once, at the first grid
-point, and shared by every later grid point, which rewinds the trial's
-streams it draws from instead of seeding them again.  Each trial's
-beam-trained observations are computed once per (array pair, SNR, beam
-mode) and reused across the ranging-noise grid: a later sigma point
-rewinds only the ftm stream, redraws only the ranges, and reads the
-bearings the trained observations already hold.
+how many draws one stream takes leaves the others alone.  What a trial
+draws once and every grid point shares is one Trial record; its
+docstring states the reuse contract.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,6 +41,7 @@ from .channel import (
     aux_beam_refine,
     beam_sweep,
     build_codebook,
+    power_db,
 )
 from .geom import (
     TAU,
@@ -73,6 +69,10 @@ _STREAM_FTM = 3
 _STREAM_AUX = 4
 
 _SAMPLER_MAX_TRIES = 100000
+
+_MIN_SEPARATION_M = 1e-3  # sampled reflector to a terminal or the other reflector
+_DISTINCT_M = 1e-9  # scene points closer than this coincide
+_ORACLE_TOL = 1e-6  # oracle-check pass bound (m, or relative)
 
 #: Trial status of each partner-selection or solver failure (leaf
 #: exception classes, looked up by exact type).
@@ -140,13 +140,12 @@ class TrialRng:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Fixed terminals, two reflector positions, and a working plane."""
+    """Fixed terminals and two reflector positions."""
 
     ap_pos: np.ndarray
     sta_pos: np.ndarray
     target1_pos: np.ndarray
     target2_pos: np.ndarray
-    plane_name: str = "yoz"
 
     def __post_init__(self) -> None:
         names = ("ap_pos", "sta_pos", "target1_pos", "target2_pos")
@@ -155,7 +154,7 @@ class Scenario:
         pts = [getattr(self, name).tolist() for name in names]
         for i in range(4):
             for j in range(i + 1, 4):
-                if math.dist(pts[i], pts[j]) < 1e-9:
+                if math.dist(pts[i], pts[j]) < _DISTINCT_M:
                     raise ValueError("scenario points must be pairwise distinct")
 
 
@@ -194,6 +193,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.oversampling < 1:
             raise ValueError("oversampling must be >= 1")
         for name in ("tx_upa", "rx_upa", "snr_db", "ftm_sigma_m", "beam", "planes"):
@@ -226,7 +227,7 @@ class ExperimentConfig:
             raise ValueError(f"target_box must be three (lo, hi) pairs with lo < hi, got {box}")
         if self.table_capacity < 1:
             raise ValueError("table_capacity must be >= 1")
-        if math.dist(self.ap_pos, self.sta_pos) < 1e-9:
+        if math.dist(self.ap_pos, self.sta_pos) < _DISTINCT_M:
             raise ValueError("ap_pos and sta_pos must differ")
 
     def upa_pairs(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -322,7 +323,7 @@ def _point_test(cfg: ExperimentConfig) -> Callable[[tuple[float, float, float]],
         if not (_covered(departure, ap_yaw) and _covered(arrival, sta_yaw)):
             return None
         n_dep, n_arr = math.hypot(*departure), math.hypot(*arrival)
-        if min(n_dep, n_arr) < 1e-3:
+        if min(n_dep, n_arr) < _MIN_SEPARATION_M:
             return None
         try:
             return (
@@ -385,8 +386,8 @@ def make_scenario_sampler(cfg: ExperimentConfig) -> Callable[[np.random.Generato
                 continue
             (t1, (ap1, sta1)), (t2, (ap2, sta2)) = slots
             gap = min(collinear_gap((ap1 - ap2) % TAU), collinear_gap((sta1 - sta2) % TAU))
-            if math.dist(t1, t2) >= 1e-3 and gap >= cfg.min_pair_angle:
-                return Scenario(ap, sta, np.array(t1), np.array(t2), cfg.planes[0])
+            if math.dist(t1, t2) >= _MIN_SEPARATION_M and gap >= cfg.min_pair_angle:
+                return Scenario(ap, sta, np.array(t1), np.array(t2))
             slots.clear()
         raise RuntimeError("scenario sampler exhausted its rejection budget")
 
@@ -437,50 +438,51 @@ def _train_beams(
         )
 
     n_total = tx_cb.geom.n_elements * rx_cb.geom.n_elements
-    matched = p_t * n_total * abs(gain) ** 2
-    matched_db = 10.0 * math.log10(matched / noise) if noise > 0.0 and matched > 0.0 else math.inf
+    matched_db = power_db(p_t * n_total * abs(gain) ** 2, noise)
     trained = PathObservation(
         _to_global(best_tx, ap_yaw), _to_global(best_rx, sta_yaw), truth.path_length, snr_est, truth.timestamp
     )
     return trained, matched_db
 
 
-#: Each path's exact observation with its complex channel gain.
-TrialPaths = tuple[tuple[PathObservation, complex], tuple[PathObservation, complex]]
+@dataclass(frozen=True)
+class Trial:
+    """What one trial draws once and every grid point shares.
 
+    paths holds the scene's two exact observations (path 1 first) with
+    their CN(0,1) channel gains.  beams memoizes the beam stage, keyed
+    by (tx pair, rx pair, SNR, beam mode): the stage reads no ranging
+    setting, so a later sigma point reuses it.  run_trial rewinds the
+    streams a grid point draws from: a memo hit rewinds only ftm, skips
+    the sweep and the refinement, and ranges copies of the memo's
+    trained observations that share their bearings; a miss rewinds every
+    stream and stores the stage's result.  So every grid point gives
+    what a fresh Trial of the same (seed, trial) gives, provided the
+    settings outside the key stay the same for one Trial.
+    """
 
-def _trial_paths(scenario: Scenario, rng: TrialRng) -> TrialPaths:
-    """Exact observations of the scene's two paths, with CN(0,1) gains
-    drawn from the channel stream (path 1 first, real part first)."""
-    truths = synthesize_observations(scenario)
-    gains = [
-        complex(rng.channel.standard_normal(), rng.channel.standard_normal()) / math.sqrt(2.0)
-        for _ in range(2)
-    ]
-    return (truths[0], gains[0]), (truths[1], gains[1])
+    scene: Scenario
+    rng: TrialRng
+    paths: tuple[tuple[PathObservation, complex], tuple[PathObservation, complex]]
+    beams: dict[tuple, tuple[PathBeams, PathBeams]] = field(default_factory=dict)
+
+    @classmethod
+    def start(cls, scene: Scenario, rng: TrialRng) -> "Trial":
+        """The scene's paths, with gains drawn from the channel stream
+        (path 1 first, real part first)."""
+        truth1, truth2 = synthesize_observations(scene)
+        gain1, gain2 = (
+            complex(rng.channel.standard_normal(), rng.channel.standard_normal()) / math.sqrt(2.0)
+            for _ in range(2)
+        )
+        return cls(scene, rng, ((truth1, gain1), (truth2, gain2)))
 
 
 def run_trial(
-    cfg: ExperimentConfig,
-    scenario: Scenario,
-    rng: TrialRng,
-    codebooks: tuple[Codebook, Codebook] | None = None,
-    paths: TrialPaths | None = None,
-    beams: dict[tuple, tuple[PathBeams, PathBeams]] | None = None,
+    cfg: ExperimentConfig, trial: Trial, codebooks: tuple[Codebook, Codebook] | None = None
 ) -> TrialResult:
-    """One end-to-end localization attempt; failures become data.
-
-    paths, when given, are the scene's exact paths and gains drawn
-    earlier by the caller; otherwise they are drawn here from rng.
-    beams, when given, is the trial's memo of beam-stage results keyed
-    by (tx pair, rx pair, SNR, beam mode), and run_trial rewinds the
-    streams the point draws from.  A hit rewinds only ftm, skips the
-    sweep and the refinement, and ranges copies of the memo's trained
-    observations that share their bearings; a miss rewinds every stream
-    and stores the beam stage's result.  The memo must come from the
-    same trial, with every other setting unchanged.  Without a memo,
-    run_trial draws from rng as it stands.
-    """
+    """One end-to-end localization attempt at a single-point grid;
+    failures become data.  See Trial for what a grid point reuses."""
     cfg = cfg.single()
     (tx_pair, rx_pair) = cfg.upa_pairs()[0]
     if codebooks is None:
@@ -494,19 +496,16 @@ def run_trial(
         p_t, noise = 1.0, 0.0  # exact, noise-free measurements
     else:
         p_t, noise = 10.0 ** (snr / 10.0), 1.0
-    paths = paths or _trial_paths(scenario, rng)
+    rng, scenario = trial.rng, trial.scene
     key = (tx_pair, rx_pair, snr, cfg.beam[0])
-    if beams is None:
-        beams = {}
-    elif key in beams:
+    if key in trial.beams:
         rng.rewind("ftm")
     else:
         rng.rewind()
-    if key not in beams:
-        beams[key] = tuple(
-            _train_beams(cfg, truth, gain, tx_cb, rx_cb, p_t, noise, rng) for truth, gain in paths
+        trial.beams[key] = tuple(
+            _train_beams(cfg, truth, gain, tx_cb, rx_cb, p_t, noise, rng) for truth, gain in trial.paths
         )
-    (trained1, snr1), (trained2, snr2) = beams[key]
+    (trained1, snr1), (trained2, snr2) = trial.beams[key]
     ftm = FtmConfig(cfg.ftm_sigma_m[0])
     obs1 = trained1.with_path_length(ftm_distance(trained1.path_length, ftm, rng.ftm))
     obs2 = trained2.with_path_length(ftm_distance(trained2.path_length, ftm, rng.ftm))
@@ -560,9 +559,11 @@ class CurveRow:
 
 @dataclass
 class ExperimentResult:
+    """Curve rows in grid order; raw, when collected, holds each row's
+    trials in trial order, row after row."""
+
     curve: list[CurveRow]
     raw: list[TrialResult] | None = None
-    raw_keys: list[tuple] = field(default_factory=list)
 
 
 def _upa_label(pair: tuple[int, int]) -> str:
@@ -607,19 +608,11 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run the full grid; one CurveRow per (UPA pair, SNR, sigma, mode).
 
-    Every substream depends only on (seed, trial), so every grid point
-    sees the same scenes, gains, ranging and refinement noise draws.
     The first time the trial loop reaches trial t, it seeds the trial's
-    streams, samples its scene and draws its paths and gains; every
-    later grid point reuses them, and run_trial rewinds the streams the
-    point draws from.  So the sampler (``scenario_sampler`` included) is
-    called once per trial, not once per grid point and trial.  The beam
-    stage (sweep and aux refinement) reads no ranging setting, so each
-    trial keeps its trained observations per (UPA pair, SNR, mode), and
-    a later sigma point runs only the ranging draws, the table, the
-    selection, the solve and the error, on bearings computed once per
-    trial and plane; run_trial is still called once per grid point and
-    trial.
+    streams, samples its scene (``scenario_sampler`` included) and
+    starts its Trial, which every later grid point reuses (see Trial).
+    So the sampler runs once per trial, and run_trial once per grid
+    point and trial.
     """
     sampler = scenario_sampler or make_scenario_sampler(cfg)
     codebook_cache: dict[tuple[int, int, int], Codebook] = {}
@@ -630,15 +623,9 @@ def run_experiment(
             codebook_cache[key] = build_codebook(UpaGeometry(*pair), cfg.oversampling)
         return codebook_cache[key]
 
-    starts: list[tuple[Scenario, TrialPaths, TrialRng, dict]] = []
+    trials: list[Trial] = []
     out = ExperimentResult(curve=[], raw=[] if collect_raw else None)
-    grid = [
-        (pair, snr, sigma, mode)
-        for pair, snr, sigma, mode in product(
-            cfg.upa_pairs(), cfg.snr_db, cfg.ftm_sigma_m, cfg.beam
-        )
-    ]
-    for (tx_pair, rx_pair), snr, sigma, mode in grid:
+    for (tx_pair, rx_pair), snr, sigma, mode in product(cfg.upa_pairs(), cfg.snr_db, cfg.ftm_sigma_m, cfg.beam):
         point_cfg = replace(
             cfg,
             tx_upa=(tx_pair,),
@@ -649,30 +636,20 @@ def run_experiment(
         )
         books = (codebook_for(tx_pair), codebook_for(rx_pair))
         results = []
-        for trial in range(cfg.trials):
-            if trial == len(starts):
-                rng = TrialRng.from_seed(cfg.seed, trial)
-                scene = sampler(rng.scenario)
-                starts.append((scene, _trial_paths(scene, rng), rng, {}))
-            scene, paths, rng, beams = starts[trial]
-            results.append(run_trial(point_cfg, scene, rng, codebooks=books, paths=paths, beams=beams))
+        for t in range(cfg.trials):
+            if t == len(trials):
+                rng = TrialRng.from_seed(cfg.seed, t)
+                trials.append(Trial.start(sampler(rng.scenario), rng))
+            results.append(run_trial(point_cfg, trials[t], codebooks=books))
         out.curve.append(_aggregate(point_cfg, results))
         if collect_raw:
             out.raw.extend(results)
-            out.raw_keys.extend(
-                (_upa_label(tx_pair), _upa_label(rx_pair), mode, snr, sigma, t)
-                for t in range(cfg.trials)
-            )
         if progress is not None:
             progress(out.curve[-1])
     return out
 
 
-_CURVE_COLUMNS = (
-    "tx_upa", "rx_upa", "beam", "snr_db", "ftm_sigma_m", "trials",
-    "n_success", "n_fail", "failure_rate", "mean_error_m", "stderr_m",
-    "p50", "p90", "realized_snr_db_mean",
-)
+_CURVE_COLUMNS = tuple(f.name for f in fields(CurveRow))
 
 _RAW_COLUMNS = (
     "tx_upa", "rx_upa", "beam", "snr_db", "ftm_sigma_m", "trial", "status",
@@ -705,15 +682,17 @@ def format_raw_csv(result: ExperimentResult) -> str:
     if result.raw is None:
         raise ValueError("experiment was run without collect_raw")
     lines = [",".join(_RAW_COLUMNS)]
-    for key, r in zip(result.raw_keys, result.raw):
-        tx, rx, mode, snr, sigma, trial = key
-        scene = "" if r.scene is None else str(r.scene.code)
-        cells = (
-            tx, rx, mode, repr(float(snr)), repr(float(sigma)), str(trial), r.status, scene,
-            *(repr(c) for c in r.true_position.tolist()), *(repr(c) for c in r.est_position.tolist()),
-            repr(float(r.distance_error)), repr(float(r.realized_snr_db)),
-        )
-        lines.append(",".join(cells))
+    raw = iter(result.raw)
+    for row in result.curve:
+        for trial, r in enumerate(islice(raw, row.trials)):
+            scene = "" if r.scene is None else str(r.scene.code)
+            cells = (
+                row.tx_upa, row.rx_upa, row.beam, repr(float(row.snr_db)), repr(float(row.ftm_sigma_m)),
+                str(trial), r.status, scene,
+                *(repr(c) for c in r.true_position.tolist()), *(repr(c) for c in r.est_position.tolist()),
+                repr(float(r.distance_error)), repr(float(r.realized_snr_db)),
+            )
+            lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -728,6 +707,7 @@ def run_oracle_suite(seed: int = 0, scenes: int = 500) -> list[tuple[str, bool, 
     rng = np.random.default_rng(seed)
     cfg = ExperimentConfig()
     sampler = make_scenario_sampler(cfg)
+    plane = ProjectionPlane.from_name(cfg.planes[0])
     out: list[tuple[str, bool, str]] = []
 
     worst = 0.0
@@ -736,7 +716,7 @@ def run_oracle_suite(seed: int = 0, scenes: int = 500) -> list[tuple[str, bool, 
         s = sampler(rng)
         obs1, obs2 = synthesize_observations(s)
         try:
-            res = solve(obs1, obs2, ProjectionPlane.from_name(s.plane_name))
+            res = solve(obs1, obs2, plane)
         except GeomError:
             failures += 1
             continue
@@ -744,7 +724,7 @@ def run_oracle_suite(seed: int = 0, scenes: int = 500) -> list[tuple[str, bool, 
         worst = max(worst, err)
     out.append((
         "random-scene round-trip",
-        failures == 0 and worst < 1e-6,
+        failures == 0 and worst < _ORACLE_TOL,
         f"{scenes} scenes, worst position error {worst:.3e} m, {failures} failures",
     ))
 
@@ -754,12 +734,12 @@ def run_oracle_suite(seed: int = 0, scenes: int = 500) -> list[tuple[str, bool, 
     u = np.array([math.cos(1.1), math.sin(1.1), 0.0])
     t1 = ap + 1.0 * u + np.array([0.0, 0.0, 0.3])
     t2 = ap + 2.2 * u + np.array([0.0, 0.0, -0.4])
-    s = Scenario(ap, sta, t1, t2, "xoy")
+    s = Scenario(ap, sta, t1, t2)
     obs1, obs2 = synthesize_observations(s)
     try:
         res = solve(obs1, obs2, ProjectionPlane.from_name("xoy"))
         err = float(np.linalg.norm(localize(res, sta) - t1))
-        ok = res.scene.code == 5 and res.scene.collinear_with == "ap" and err < 1e-6
+        ok = res.scene.code == 5 and res.scene.collinear_with == "ap" and err < _ORACLE_TOL
         detail = f"scene {res.scene.code}/{res.scene.collinear_with}, error {err:.3e} m"
     except GeomError as exc:
         ok, detail = False, f"raised {type(exc).__name__}"
@@ -789,7 +769,7 @@ def run_oracle_suite(seed: int = 0, scenes: int = 500) -> list[tuple[str, bool, 
         worst_rel = max(worst_rel, abs(res.distance - want) / want)
     out.append((
         "line-of-sight partner round-trip",
-        bad == 0 and worst_rel < 1e-6,
+        bad == 0 and worst_rel < _ORACLE_TOL,
         f"{scenes} scenes, worst relative distance error {worst_rel:.3e}, {bad} failures",
     ))
 

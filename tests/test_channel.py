@@ -26,6 +26,7 @@ from mm3nlos.channel import (
     beam_sweep,
     build_codebook,
     direction_cosines,
+    power_db,
 )
 from mm3nlos.geom import SphericalAngles
 
@@ -247,6 +248,12 @@ def test_noisy_sweep_reports_the_winning_power():
     ch = ChannelRealization(0.9, random_coverage_angles(rng), random_coverage_angles(rng), 2.0)
     _, _, snr = beam_sweep(ch, tx_cb, rx_cb, p_t=100.0, noise_power=1.0, rng=rng)
     assert math.isfinite(snr)
+
+
+def test_power_db_cases():
+    assert power_db(100.0, 1.0) == 20.0
+    assert power_db(0.0, 1.0) == -math.inf
+    assert power_db(5.0, 0.0) == math.inf  # no noise: exact, whatever the power
 
 
 def test_noise_dominated_sweep_picks_uniformly():

@@ -245,6 +245,25 @@ def test_seed_precedence_follows_flag_file_env(tmp_path, monkeypatch):
     assert main(argv) == 2
 
 
+def test_a_negative_seed_is_a_config_error_on_every_path(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    out = tmp_path / "c.csv"
+    argv = ["sweep-snr", "--config", str(cfg_path), "--snr-db", "20", "--out", str(out)]
+    for text, flags, env in (
+        (TINY_SWEEP, ["--seed", "-1"], None),
+        (TINY_SWEEP.replace("seed = 1", "seed = -1"), [], None),
+        (TINY_SWEEP.replace("seed = 1\n", ""), [], "-5"),
+    ):
+        cfg_path.write_text(text)
+        if env is not None:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, env)
+        assert main(argv + flags) == 2
+        assert "seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_path]
+    assert main(["oracle-check", "--scenes", "1", "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_manifest_lands_before_trials_and_records_interrupts(tmp_path, monkeypatch, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(TINY_SWEEP)

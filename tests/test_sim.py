@@ -25,6 +25,7 @@ from mm3nlos.measure import MIN_DISTANCE
 from mm3nlos.sim import (
     ExperimentConfig,
     Scenario,
+    Trial,
     TrialRng,
     _to_local,
     curve_csv_header,
@@ -89,7 +90,7 @@ def test_refinement_draws_only_from_its_own_stream():
     for mode in ("best", "aux"):
         after[mode] = TrialRng.from_seed(2, 0)
         cfg = small_cfg(tx_upa=((8, 8),), rx_upa=((8, 8),), beam=(mode,))
-        run_trial(cfg, scene, after[mode])
+        run_trial(cfg, Trial.start(scene, after[mode]))
     for name in ("scenario", "channel", "sweep", "ftm"):
         assert getattr(after["best"], name).bit_generator.state == getattr(after["aux"], name).bit_generator.state
     assert "aux" not in vars(after["best"])
@@ -197,7 +198,7 @@ def reference_scenario_sampler(cfg, max_tries=sim._SAMPLER_MAX_TRIES):
                     slots.append((t, shadows))
             if len(slots) == 2:
                 if pair_ok(*slots[0], *slots[1]):
-                    return Scenario(cfg.ap_pos, cfg.sta_pos, slots[0][0], slots[1][0], cfg.planes[0])
+                    return Scenario(cfg.ap_pos, cfg.sta_pos, slots[0][0], slots[1][0])
                 slots = []
         raise RuntimeError("scenario sampler exhausted its rejection budget")
 
@@ -320,7 +321,6 @@ def assert_samplers_agree(cfg, seed, scenes, max_tries=sim._SAMPLER_MAX_TRIES, l
             got = fast(rng_fast)
             np.testing.assert_array_equal(got.target1_pos, want.target1_pos)
             np.testing.assert_array_equal(got.target2_pos, want.target2_pos)
-            assert got.plane_name == want.plane_name
             assert rng_fast.state == rng_slow.state
 
 
@@ -486,7 +486,7 @@ def test_on_grid_noiseless_trial_is_exact():
         tx_upa=((8, 1),), rx_upa=((8, 1),), snr_db=(math.inf,), ftm_sigma_m=(0.0,),
         trials=1, planes=("xoy",),
     )
-    res = run_trial(cfg, Scenario(ap, sta, t1, t2, "xoy"), TrialRng.from_seed(0, 0))
+    res = run_trial(cfg, Trial.start(Scenario(ap, sta, t1, t2), TrialRng.from_seed(0, 0)))
     assert res.status == "ok"
     assert res.distance_error < 1e-6
     assert math.isinf(res.realized_snr_db)
@@ -520,7 +520,7 @@ def test_a_hopeless_scene_fails_as_data():
     ap, sta = np.zeros(3), np.array([0.0, 2.0, 0.0])
     t1, t2 = np.array([0.0, 3.0, 0.0]), np.array([0.0, 4.0, 0.0])
     cfg = small_cfg(snr_db=(math.inf,), ftm_sigma_m=(0.0,), trials=1, planes=("xoy",))
-    res = run_trial(cfg, Scenario(ap, sta, t1, t2, "xoy"), TrialRng.from_seed(0, 0))
+    res = run_trial(cfg, Trial.start(Scenario(ap, sta, t1, t2), TrialRng.from_seed(0, 0)))
     assert res.status == "no_history"
     assert math.isnan(res.distance_error)
     assert np.isnan(res.est_position).all()
@@ -532,6 +532,8 @@ def test_a_hopeless_scene_fails_as_data():
 def test_config_validation():
     with pytest.raises(ValueError):
         small_cfg(trials=0)
+    with pytest.raises(ValueError, match="seed"):
+        small_cfg(seed=-1)
     with pytest.raises(ValueError):
         small_cfg(beam=())
     with pytest.raises(ValueError):
@@ -620,11 +622,11 @@ def test_grid_points_match_trials_run_from_fresh_streams():
     out = run_experiment(cfg, collect_raw=True)
     assert len(out.raw) == 2 * 2 * 2 * cfg.trials
     sample = make_scenario_sampler(cfg)
-    for key, got in zip(out.raw_keys, out.raw):
-        _, _, mode, snr, sigma, trial = key
+    points = product(cfg.snr_db, cfg.ftm_sigma_m, cfg.beam, range(cfg.trials))
+    for (snr, sigma, mode, trial), got in zip(points, out.raw, strict=True):
         rng = TrialRng.from_seed(cfg.seed, trial)
         point = small_cfg(snr_db=(snr,), ftm_sigma_m=(sigma,), beam=(mode,), seed=6)
-        want = run_trial(point, sample(rng.scenario), rng)
+        want = run_trial(point, Trial.start(sample(rng.scenario), rng))
         for name in ("status", "scene", "distance_error", "realized_snr_db", "est_position"):
             np.testing.assert_equal(getattr(got, name), getattr(want, name))
 
@@ -668,26 +670,46 @@ def test_bearings_are_taken_once_per_trial_and_plane_across_the_sigma_grid():
 def test_a_memo_hit_rewinds_only_the_ftm_stream():
     cfg = small_cfg(beam=("aux",), seed=4)
     rng = TrialRng.from_seed(4, 0)
-    scene = make_scenario_sampler(cfg)(rng.scenario)
-    paths = sim._trial_paths(scene, rng)
-    beams = {}
-    first = run_trial(cfg, scene, rng, paths=paths, beams=beams)
+    trial = Trial.start(make_scenario_sampler(cfg)(rng.scenario), rng)
+    first = run_trial(cfg, trial)
     ranged = rng.ftm.bit_generator.state
     rng.sweep.standard_normal()
     rng.aux.standard_normal()
     moved = {name: getattr(rng, name).bit_generator.state for name in ("sweep", "aux")}
     with mock.patch.object(sim, "beam_sweep") as sweep:
-        again = run_trial(cfg, scene, rng, paths=paths, beams=beams)
+        again = run_trial(cfg, trial)
     sweep.assert_not_called()
     assert {name: getattr(rng, name).bit_generator.state for name in ("sweep", "aux")} == moved
     assert rng.ftm.bit_generator.state == ranged
     np.testing.assert_equal(again.est_position, first.est_position)
-    # A miss (a new SNR) rewinds every stream and trains afresh.
+    # A miss (a new SNR) rewinds every stream and trains afresh on the
+    # trial's own gains: it equals a fresh trial.
     point = small_cfg(beam=("aux",), snr_db=(10.0,), seed=4)
-    want = run_trial(point, scene, TrialRng.from_seed(4, 0))
-    got = run_trial(point, scene, rng, paths=paths, beams=beams)
+    want = run_trial(point, Trial.start(trial.scene, TrialRng.from_seed(4, 0)))
+    got = run_trial(point, trial)
     np.testing.assert_equal(got.est_position, want.est_position)
-    assert len(beams) == 2
+    assert len(trial.beams) == 2
+
+
+def test_raw_rows_are_labelled_in_grid_order():
+    cfg = small_cfg(
+        tx_upa=((2, 2), (4, 4)), rx_upa=((4, 4), (2, 2)), snr_db=(0.0, 10.0),
+        ftm_sigma_m=(0.01, 0.1), beam=("best", "aux"), trials=2,
+    )
+    lines = format_raw_csv(run_experiment(cfg, collect_raw=True)).splitlines()
+    labels = [tuple(line.split(",")[:6]) for line in lines[1:]]
+    want = [
+        (f"{tx[0]}x{tx[1]}", f"{rx[0]}x{rx[1]}", mode, repr(snr), repr(sigma), str(trial))
+        for (tx, rx), snr, sigma, mode in product(cfg.upa_pairs(), cfg.snr_db, cfg.ftm_sigma_m, cfg.beam)
+        for trial in range(cfg.trials)
+    ]
+    assert labels == want
+    assert len(want) == 2 * 2 * 2 * 2 * cfg.trials
+
+
+def test_a_minus_infinite_snr_point_reports_minus_infinite_snr():
+    out = run_experiment(small_cfg(snr_db=(-math.inf,), trials=3), collect_raw=True)
+    assert [r.realized_snr_db for r in out.raw] == [-math.inf] * 3
 
 
 def test_progress_callback_sees_every_row():
