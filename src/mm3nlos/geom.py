@@ -14,12 +14,17 @@ sine-rule system over the two projected triangles (AP, reflector 1,
 reflector 2) and (STA, reflector 1, reflector 2) reduces to a one-variable
 tangent equation.  Out-of-plane tilts enter only through cosine factors that
 rescale each 3D length to its in-plane shadow.
+
+solve is solve_ranges of solve_angles: the angle stage does all that the
+four directions decide, so pairs whose path lengths change and whose
+directions do not can share it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -322,6 +327,11 @@ def pair_unsolvable(cw_aod_pair: float, cw_aoa_pair: float) -> bool:
     return _near_collinear(cw_aod_pair) and _near_collinear(cw_aoa_pair)
 
 
+# classify_scene's seven outcomes, one shared instance each (SceneType is frozen).
+_SCENE_BY_CODE = tuple(SceneType(code) for code in range(5))
+_SCENE_COLLINEAR = {"ap": SceneType(5, "ap"), "sta": SceneType(5, "sta")}
+
+
 def classify_scene(cw_aod_pair: float, cw_aoa_pair: float, cw_cross: float) -> SceneType:
     """Classify a projected two-path scene from its three clockwise angles.
 
@@ -333,35 +343,42 @@ def classify_scene(cw_aod_pair: float, cw_aoa_pair: float, cw_cross: float) -> S
     """
 
     if pair_unsolvable(cw_aod_pair, cw_aoa_pair):
-        return SceneType(0)
+        return _SCENE_BY_CODE[0]
     if _near_collinear(cw_aod_pair):
-        return SceneType(5, "ap")
+        return _SCENE_COLLINEAR["ap"]
     if _near_collinear(cw_aoa_pair):
-        return SceneType(5, "sta")
+        return _SCENE_COLLINEAR["sta"]
 
     ap_open = cw_aod_pair < math.pi  # clockwise angle in (0, pi)
     sta_open = cw_aoa_pair < math.pi
     if ap_open and not sta_open:
-        return SceneType(1)
+        return _SCENE_BY_CODE[1]
     if not ap_open and sta_open:
-        return SceneType(2)
+        return _SCENE_BY_CODE[2]
     # Both pair angles share a half-plane class; the cross angle breaks the tie.
     if _near_collinear(cw_cross):
         # Boundary: reflex(cross) ~ 0 and the code 3/4 formulas coincide.
-        return SceneType(4)
+        return _SCENE_BY_CODE[4]
     cross_open = cw_cross < math.pi
     if cross_open == ap_open:
-        return SceneType(4)
-    return SceneType(3)
+        return _SCENE_BY_CODE[4]
+    return _SCENE_BY_CODE[3]
 
 
-def _cos_tilts(inter: SolverIntermediates) -> tuple[float, float, float, float]:
-    return (
-        math.cos(inter.tilt_aod_1),
-        math.cos(inter.tilt_aod_2),
-        math.cos(inter.tilt_aoa_1),
-        math.cos(inter.tilt_aoa_2),
-    )
+#: A branch's range stage: (c1, c2) -> (distance, intermediates).
+RangeStage = Callable[[float, float], tuple[float, SolverIntermediates]]
+
+
+class AngleStage(NamedTuple):
+    """What solve_angles computes from the four bearings: the scene, the
+    unit arrival direction, and the branch's range stage, a closure over
+    the length-free values (clockwise angles, tilts, apex and offset
+    trig, signs, product terms) that solve_ranges calls with the path
+    lengths."""
+
+    scene: SceneType
+    direction: tuple[float, float, float]
+    ranges: RangeStage
 
 
 def _feasible_midpoint(sign_link: float, offset: float) -> float:
@@ -377,9 +394,9 @@ def _feasible_midpoint(sign_link: float, offset: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _solve_separate(inter: SolverIntermediates, c1: float, c2: float, scene: SceneType) -> float:
-    """Reflector distance for a scene whose projected reflectors are
-    separate from both terminals' viewpoints (codes 1 to 4).
+def _separate(bearings: tuple[float, ...], cos_tilts: tuple[float, float, float, float], code: int) -> RangeStage:
+    """Scene whose projected reflectors are separate from both terminals'
+    viewpoints (codes 1 to 4).
 
     The two projected triangles share the reflector-pair line.  Writing
     the sine rule in both and eliminating every length yields one ratio
@@ -387,91 +404,93 @@ def _solve_separate(inter: SolverIntermediates, c1: float, c2: float, scene: Sce
     between the two reflector-1 angles turns it into
     coef_sin * sin(t1_angle_ap) + coef_cos * cos(t1_angle_ap) = 0, solved
     by arctangent.  c1 then splits between its legs by the weight ratio.
+    Terms free of the ratio c1 / c2 are formed before the range stage;
+    those with it keep their left-to-right order (reassociating them
+    would move bits).
     """
-
-    apex_ap = reflex_reduce(inter.cw_aod_pair)
-    apex_sta = reflex_reduce(inter.cw_aoa_pair)
-    inter.apex_ap, inter.apex_sta = apex_ap, apex_sta
+    cw_aod_pair, cw_aoa_pair, cw_cross_1 = bearings[:3]
+    ca1, ca2, cs1, cs2 = cos_tilts
+    apex_ap = reflex_reduce(cw_aod_pair)
+    apex_sta = reflex_reduce(cw_aoa_pair)
 
     # Linear relation t1_angle_sta = sign_link * t1_angle_ap + offset per
     # configuration; the offset comes from the measured cross angle.
-    sign_link = -1.0 if scene.code in (1, 2) else 1.0
-    if scene.code == 1:
-        offset = TAU - inter.cw_cross_1
-    elif scene.code == 2:
-        offset = inter.cw_cross_1
-    elif scene.code == 3:
-        offset = -reflex_reduce(inter.cw_cross_1)
+    sign_link = -1.0 if code in (1, 2) else 1.0
+    if code == 1:
+        offset = TAU - cw_cross_1
+    elif code == 2:
+        offset = cw_cross_1
+    elif code == 3:
+        offset = -reflex_reduce(cw_cross_1)
     else:
-        offset = reflex_reduce(inter.cw_cross_1)
-    inter.sign_link = sign_link
+        offset = reflex_reduce(cw_cross_1)
 
-    ca1, ca2, cs1, cs2 = _cos_tilts(inter)
-    ratio = c1 / c2
     sin_aa, cos_aa = math.sin(apex_ap), math.cos(apex_ap)
     sin_as = math.sin(apex_sta)
     sin_shift = math.sin(offset + apex_sta)
     cos_shift = math.cos(offset + apex_sta)
-
-    # Coefficient of sin(t1_angle_ap) ...
-    s_terms = (
-        cos_aa * sin_as * ca2 * cs1 * cs2,
-        sign_link * cos_shift * sin_aa * ca1 * ca2 * cs2,
-        -ratio * sin_as * ca1 * cs1 * cs2,
-        -sign_link * ratio * math.cos(offset) * sin_aa * ca1 * ca2 * cs1,
-    )
+    cos_offset, sin_offset = math.cos(offset), math.sin(offset)
+    # The ratio-free terms of the coefficient of sin(t1_angle_ap) ...
+    s_free_1, s_free_2 = cos_aa * sin_as * ca2 * cs1 * cs2, sign_link * cos_shift * sin_aa * ca1 * ca2 * cs2
     # ... and of cos(t1_angle_ap) in the cleared ratio equation.
-    c_terms = (
-        sin_aa * sin_as * ca2 * cs1 * cs2,
-        sin_shift * sin_aa * ca1 * ca2 * cs2,
-        -ratio * math.sin(offset) * sin_aa * ca1 * ca2 * cs1,
-    )
-    coef_sin = math.fsum(s_terms)
-    coef_cos = math.fsum(c_terms)
-    inter.coef_sin, inter.coef_cos = coef_sin, coef_cos
+    c_free_1, c_free_2 = sin_aa * sin_as * ca2 * cs1 * cs2, sin_shift * sin_aa * ca1 * ca2 * cs2
 
-    scale_sin = sum(abs(t) for t in s_terms)
-    scale_cos = sum(abs(t) for t in c_terms)
-    if abs(coef_sin) <= _EPS_DEGENERATE_FAMILY * scale_sin and abs(coef_cos) <= _EPS_DEGENERATE_FAMILY * scale_cos:
-        # Identity: every angle solves the equation.  This is the virtual
-        # reflector on the AP-STA line; the c1 split is invariant along
-        # the family, so any interior angle yields the same distance.
-        t1_ap = _feasible_midpoint(sign_link, offset)
-    else:
-        t1_ap = math.atan2(-coef_cos, coef_sin) % math.pi
-    t1_sta = offset + sign_link * t1_ap
-    inter.t1_angle_ap, inter.t1_angle_sta = t1_ap, t1_sta
+    def ranges(c1: float, c2: float) -> tuple[float, SolverIntermediates]:
+        ratio = c1 / c2
+        s_terms = (
+            s_free_1,
+            s_free_2,
+            -ratio * sin_as * ca1 * cs1 * cs2,
+            -sign_link * ratio * cos_offset * sin_aa * ca1 * ca2 * cs1,
+        )
+        c_terms = (c_free_1, c_free_2, -ratio * sin_offset * sin_aa * ca1 * ca2 * cs1)
+        coef_sin = math.fsum(s_terms)
+        coef_cos = math.fsum(c_terms)
 
-    if not (_EPS_ANGLE < t1_ap < math.pi - _EPS_ANGLE):
-        raise InconsistentGeometry("reflector-1 angle at the AP triangle collapsed")
-    if not (_EPS_ANGLE < t1_sta < math.pi - _EPS_ANGLE):
-        raise InconsistentGeometry("implied reflector-1 angle at the STA triangle is out of range")
+        scale_sin = sum(map(abs, s_terms))
+        scale_cos = sum(map(abs, c_terms))
+        if abs(coef_sin) <= _EPS_DEGENERATE_FAMILY * scale_sin and abs(coef_cos) <= _EPS_DEGENERATE_FAMILY * scale_cos:
+            # Identity: every angle solves the equation.  This is the virtual
+            # reflector on the AP-STA line; the c1 split is invariant along
+            # the family, so any interior angle yields the same distance.
+            t1_ap = _feasible_midpoint(sign_link, offset)
+        else:
+            t1_ap = math.atan2(-coef_cos, coef_sin) % math.pi
+        t1_sta = offset + sign_link * t1_ap
 
-    weight_ap = math.sin(apex_ap + t1_ap) * sin_as * cs1
-    weight_sta = math.sin(apex_sta + t1_sta) * sin_aa * ca1
-    inter.weight_ap, inter.weight_sta = weight_ap, weight_sta
-    weight_sum = weight_ap + weight_sta
-    if abs(weight_sum) < 1e-300:
-        raise InconsistentGeometry("degenerate weight split")
-    distance = weight_sta * c1 / weight_sum
-    if not (0.0 < distance < c1):
-        raise InconsistentGeometry(
-            f"reflector distance {distance:.6g} outside (0, c1={c1:.6g})"
+        if not (_EPS_ANGLE < t1_ap < math.pi - _EPS_ANGLE):
+            raise InconsistentGeometry("reflector-1 angle at the AP triangle collapsed")
+        if not (_EPS_ANGLE < t1_sta < math.pi - _EPS_ANGLE):
+            raise InconsistentGeometry("implied reflector-1 angle at the STA triangle is out of range")
+
+        weight_ap = math.sin(apex_ap + t1_ap) * sin_as * cs1
+        weight_sta = math.sin(apex_sta + t1_sta) * sin_aa * ca1
+        weight_sum = weight_ap + weight_sta
+        if abs(weight_sum) < 1e-300:
+            raise InconsistentGeometry("degenerate weight split")
+        distance = weight_sta * c1 / weight_sum
+        if not (0.0 < distance < c1):
+            raise InconsistentGeometry(
+                f"reflector distance {distance:.6g} outside (0, c1={c1:.6g})"
+            )
+
+        # Residual of the ratio equation at the returned angles.
+        lhs_num = weight_sum
+        lhs_den = math.sin(t1_ap) * sin_as * cs2 + math.sin(t1_sta) * sin_aa * ca2
+        rhs = ratio * ca1 * cs1 / (ca2 * cs2)
+        residual = abs(lhs_num - rhs * lhs_den) / (abs(lhs_num) + abs(rhs * lhs_den) + 1e-300)
+        if residual > TOL_RESIDUAL:
+            raise InconsistentGeometry(f"sine-rule residual {residual:.3g} above tolerance")
+
+        denom = math.sin(apex_sta + t1_sta)
+        return distance, SolverIntermediates(
+            *bearings,
+            apex_ap=apex_ap, apex_sta=apex_sta, t1_angle_ap=t1_ap, t1_angle_sta=t1_sta, sign_link=sign_link,
+            coef_sin=coef_sin, coef_cos=coef_cos, weight_ap=weight_ap, weight_sta=weight_sta, residual=residual,
+            projected_pair_distance=distance * cs1 * sin_as / denom if abs(denom) > _EPS_ANGLE else math.nan,
         )
 
-    # Residual of the ratio equation at the returned angles.
-    lhs_num = weight_sum
-    lhs_den = math.sin(t1_ap) * sin_as * cs2 + math.sin(t1_sta) * sin_aa * ca2
-    rhs = ratio * ca1 * cs1 / (ca2 * cs2)
-    residual = abs(lhs_num - rhs * lhs_den) / (abs(lhs_num) + abs(rhs * lhs_den) + 1e-300)
-    inter.residual = residual
-    if residual > TOL_RESIDUAL:
-        raise InconsistentGeometry(f"sine-rule residual {residual:.3g} above tolerance")
-
-    denom = math.sin(apex_sta + t1_sta)
-    if abs(denom) > _EPS_ANGLE:
-        inter.projected_pair_distance = distance * cs1 * sin_as / denom
-    return distance
+    return ranges
 
 
 def _collinear_split(reduced_pair: float, cross_1: float, cross_2: float) -> tuple[float, float, float]:
@@ -493,107 +512,122 @@ def _collinear_split(reduced_pair: float, cross_1: float, cross_2: float) -> tup
     return 1.0, 1.0, cross_1
 
 
-def _solve_collinear(inter: SolverIntermediates, c1: float, c2: float, scene: SceneType) -> float:
-    """Reflector distance for a scene whose projected reflectors are
-    collinear with exactly one terminal (code 5).
+def _collinear(bearings: tuple[float, ...], cos_tilts: tuple[float, float, float, float], ap_side: bool) -> RangeStage:
+    """Scene whose projected reflectors are collinear with exactly one
+    terminal (code 5).
 
     The open triangle at the other terminal still obeys the sine rule,
     while along the collinear line the projected reflector separation is
     a signed sum of the two leg shadows.  Eliminating the separation
-    gives the reflector-1 leg in closed form.  For a collinear STA the
-    same formulas apply with the AP and STA roles swapped, and c1 minus
-    the AP leg gives the STA distance.
+    gives the reflector-1 leg in closed form, linear in c1 and c2.  For a
+    collinear STA the same formulas apply with the AP and STA roles
+    swapped, and c1 minus the AP leg gives the STA distance.
     """
-
-    ca1, ca2, cs1, cs2 = _cos_tilts(inter)
-    cross_1 = reflex_reduce(inter.cw_cross_1)
-    cross_2 = reflex_reduce(inter.cw_cross_2)
-
-    if scene.collinear_with == "ap":
-        apex = reflex_reduce(inter.cw_aoa_pair)
-        inter.apex_sta = apex
-        reduced_pair = reflex_reduce(inter.cw_aod_pair)
-        s1, s2, angle = _collinear_split(reduced_pair, cross_1, cross_2)
-        inter.t1_angle_sta = angle
+    cw_aod_pair, cw_aoa_pair, cw_cross_1, cw_cross_2 = bearings[:4]
+    ca1, ca2, cs1, cs2 = cos_tilts
+    cross_1 = reflex_reduce(cw_cross_1)
+    cross_2 = reflex_reduce(cw_cross_2)
+    if ap_side:
+        apex = reflex_reduce(cw_aoa_pair)
+        s1, s2, angle = _collinear_split(reflex_reduce(cw_aod_pair), cross_1, cross_2)
+        sided = {"apex_sta": apex, "t1_angle_sta": angle}
         near_cos, near_sin = cs1, cs2  # tilts on the open-triangle side
         far_cos_1, far_cos_2 = ca1, ca2
     else:
-        apex = reflex_reduce(inter.cw_aod_pair)
-        inter.apex_ap = apex
-        reduced_pair = reflex_reduce(inter.cw_aoa_pair)
-        s1, s2, angle = _collinear_split(reduced_pair, cross_1, cross_2)
-        inter.t1_angle_ap = angle
+        apex = reflex_reduce(cw_aod_pair)
+        s1, s2, angle = _collinear_split(reflex_reduce(cw_aoa_pair), cross_1, cross_2)
+        sided = {"apex_ap": apex, "t1_angle_ap": angle}
         near_cos, near_sin = ca1, ca2
         far_cos_1, far_cos_2 = cs1, cs2
-    inter.sign_leg_1, inter.sign_leg_2 = s1, s2
 
     sin_angle = math.sin(angle)
     sin_apex = math.sin(apex)
     sin_both = math.sin(angle + apex)
     if sin_angle <= _EPS_ANGLE or sin_apex <= _EPS_ANGLE:
         raise InconsistentGeometry("collinear configuration with a collapsed triangle")
-
-    weight_top = (
-        c2 * sin_apex * near_cos * near_sin
-        + s1 * c2 * sin_both * far_cos_1 * near_sin
-        - s1 * c1 * sin_angle * far_cos_1 * near_cos
-    )
     weight_bottom = (
         sin_apex * near_cos * near_sin
         + s1 * sin_both * far_cos_1 * near_sin
         + s2 * sin_angle * far_cos_2 * near_cos
     )
-    inter.weight_ap, inter.weight_sta = weight_top, weight_bottom
     if abs(weight_bottom) < 1e-300:
         raise InconsistentGeometry("degenerate collinear weight split")
+    leg_scale = sin_both * near_sin / (sin_angle * near_cos)
 
-    leg = (sin_both * near_sin / (sin_angle * near_cos)) * (c2 - weight_top / weight_bottom)
-    if scene.collinear_with == "ap":
-        distance = leg
-        open_leg_shadow = distance * near_cos  # reflector 1 to the STA, in plane
-    else:
-        distance = c1 - leg
-        open_leg_shadow = leg * near_cos  # reflector 1 to the AP, in plane
-    if not (0.0 < distance < c1):
-        raise InconsistentGeometry(
-            f"reflector distance {distance:.6g} outside (0, c1={c1:.6g})"
+    def ranges(c1: float, c2: float) -> tuple[float, SolverIntermediates]:
+        weight_top = (
+            c2 * sin_apex * near_cos * near_sin
+            + s1 * c2 * sin_both * far_cos_1 * near_sin
+            - s1 * c1 * sin_angle * far_cos_1 * near_cos
+        )
+        leg = leg_scale * (c2 - weight_top / weight_bottom)
+        if ap_side:
+            distance = leg
+            open_leg_shadow = distance * near_cos  # reflector 1 to the STA, in plane
+        else:
+            distance = c1 - leg
+            open_leg_shadow = leg * near_cos  # reflector 1 to the AP, in plane
+        if not (0.0 < distance < c1):
+            raise InconsistentGeometry(
+                f"reflector distance {distance:.6g} outside (0, c1={c1:.6g})"
+            )
+
+        # Sine rule in the open triangle: the pair separation faces the apex.
+        return distance, SolverIntermediates(
+            *bearings, **sided, weight_ap=weight_top, weight_sta=weight_bottom, sign_leg_1=s1, sign_leg_2=s2,
+            projected_pair_distance=open_leg_shadow * sin_apex / sin_both if sin_both > _EPS_ANGLE else math.nan,
         )
 
-    # Sine rule in the open triangle: the pair separation faces the apex.
-    if sin_both > _EPS_ANGLE:
-        inter.projected_pair_distance = open_leg_shadow * sin_apex / sin_both
-    return distance
+    return ranges
 
 
-def solve(obs1: PathObservation, obs2: PathObservation, plane: ProjectionPlane) -> SolveResult:
+def solve_angles(obs1: PathObservation, obs2: PathObservation, plane: ProjectionPlane) -> AngleStage:
     """Read the four bearings in the plane from the observations' memos,
-    classify the scene, and solve it with the branch for its code.
+    classify the scene, and take its branch as far as it goes without
+    the path lengths.
 
-    obs1 is the current path whose reflector is located; obs2 supplies
-    the second path (usually a historical record).  The branch solvers
-    fill the rest of the intermediates and return the distance.
+    Raises DegenerateProjection (a direction normal to the plane),
+    Unsolvable (scene code 0), and for code 5 InconsistentGeometry when
+    the reflectors project to one point or a triangle collapses.
     """
     first, second = obs1.bearings(plane), obs2.bearings(plane)
     if first is None or second is None:
         raise DegenerateProjection("a direction is normal to the projection plane")
     az_aod_1, tilt_aod_1, az_aoa_1, tilt_aoa_1 = first
     az_aod_2, tilt_aod_2, az_aoa_2, tilt_aoa_2 = second
-    inter = SolverIntermediates(
-        cw_aod_pair=(az_aod_1 - az_aod_2) % TAU,
-        cw_aoa_pair=(az_aoa_1 - az_aoa_2) % TAU,
-        cw_cross_1=(az_aod_1 - az_aoa_1) % TAU,
-        cw_cross_2=(az_aod_2 - az_aoa_2) % TAU,
-        tilt_aod_1=tilt_aod_1,
-        tilt_aod_2=tilt_aod_2,
-        tilt_aoa_1=tilt_aoa_1,
-        tilt_aoa_2=tilt_aoa_2,
+    # The first eight SolverIntermediates fields, in field order.
+    bearings = (
+        (az_aod_1 - az_aod_2) % TAU,
+        (az_aoa_1 - az_aoa_2) % TAU,
+        (az_aod_1 - az_aoa_1) % TAU,
+        (az_aod_2 - az_aoa_2) % TAU,
+        tilt_aod_1, tilt_aod_2, tilt_aoa_1, tilt_aoa_2,
     )
-    scene = classify_scene(inter.cw_aod_pair, inter.cw_aoa_pair, inter.cw_cross_1)
+    scene = classify_scene(*bearings[:3])
     if scene.code == 0:
         raise Unsolvable("both projected pairs are collinear (scene code 0)")
-    branch = _solve_collinear if scene.code == 5 else _solve_separate
-    distance = branch(inter, obs1.path_length, obs2.path_length, scene)
-    return SolveResult(direction=direction_from_angles(obs1.aoa), distance=distance, scene=scene, intermediates=inter)
+    cos_tilts = (math.cos(tilt_aod_1), math.cos(tilt_aod_2), math.cos(tilt_aoa_1), math.cos(tilt_aoa_2))
+    if scene.code == 5:
+        ranges = _collinear(bearings, cos_tilts, scene.collinear_with == "ap")
+    else:
+        ranges = _separate(bearings, cos_tilts, scene.code)
+    return AngleStage(scene, _unit(obs1.aoa), ranges)
+
+
+def solve_ranges(stage: AngleStage, c1: float, c2: float) -> SolveResult:
+    """Finish a solve with the current path's length c1 and the
+    partner's c2.  Raises InconsistentGeometry when they admit no
+    reflector placement (a reflector-1 angle out of range, a degenerate
+    weight split, a distance outside (0, c1), a residual above
+    tolerance)."""
+    distance, inter = stage.ranges(c1, c2)
+    return SolveResult(direction=np.array(stage.direction), distance=distance, scene=stage.scene, intermediates=inter)
+
+
+def solve(obs1: PathObservation, obs2: PathObservation, plane: ProjectionPlane) -> SolveResult:
+    """Locate reflector 1 of obs1, the current path, with obs2 (usually
+    a historical record) as the second path."""
+    return solve_ranges(solve_angles(obs1, obs2, plane), obs1.path_length, obs2.path_length)
 
 
 def localize(result: SolveResult, sta_position: np.ndarray) -> np.ndarray:

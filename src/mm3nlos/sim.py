@@ -17,7 +17,11 @@ channel gains, ranging noise and refinement noise, which pairs their
 comparisons and pins every output byte for a given seed; a change to
 how many draws one stream takes leaves the others alone.  What a trial
 draws once and every grid point shares is one Trial record; its
-docstring states the reuse contract.
+docstring states the reuse contract.  A point that differs from an
+earlier one of its trial only in the ranging noise reuses the trained
+beams, the partner choice and the solver's angle stage, none of which
+reads a path length, and redraws only the two ranges for the solver's
+range stage.
 """
 
 from __future__ import annotations
@@ -45,12 +49,14 @@ from .channel import (
 )
 from .geom import (
     TAU,
+    AngleStage,
     DegenerateProjection,
     GeomError,
     InconsistentGeometry,
     PathObservation,
     ProjectionPlane,
     SceneType,
+    SolveResult,
     SphericalAngles,
     Unsolvable,
     angles_from_direction,
@@ -58,6 +64,8 @@ from .geom import (
     collinear_gap,
     localize,
     solve,
+    solve_angles,
+    solve_ranges,
 )
 from .measure import FtmConfig, MeasurementTable, NoUsableHistory, ftm_distance, select_historical
 
@@ -82,6 +90,7 @@ _FAILURE_STATUS = {
     InconsistentGeometry: "inconsistent_geometry",
     DegenerateProjection: "degenerate_projection",
 }
+_FAILURES = tuple(_FAILURE_STATUS)
 
 
 def _generator(seed: int, trial: int, stream: int) -> np.random.Generator:
@@ -243,7 +252,7 @@ class ExperimentConfig:
         for name in ("snr_db", "ftm_sigma_m", "beam"):
             if len(getattr(self, name)) != 1:
                 raise ValueError(f"run_trial needs a single-point grid, {name} has several values")
-        if len(self.upa_pairs()) != 1:
+        if len(self.tx_upa) != 1 or len(self.rx_upa) != 1:  # upa_pairs() would broadcast
             raise ValueError("run_trial needs a single UPA pair")
         return self
 
@@ -396,9 +405,9 @@ def make_scenario_sampler(cfg: ExperimentConfig) -> Callable[[np.random.Generato
 
 #: One path's beam-trained estimate and its matched SNR dB.  The
 #: observation holds the global AoD and AoA, the measured SNR dB and the
-#: path's timestamp; its path length is the true one, which run_trial
-#: replaces by a ranged copy (PathObservation.with_path_length) that
-#: shares the observation's bearings.
+#: path's timestamp; its path length is the true one, which a miss
+#: replaces by a ranged copy sharing its bearings and a hit passes
+#: straight to solve_ranges.
 PathBeams = tuple[PathObservation, float]
 
 
@@ -450,21 +459,25 @@ class Trial:
     """What one trial draws once and every grid point shares.
 
     paths holds the scene's two exact observations (path 1 first) with
-    their CN(0,1) channel gains.  beams memoizes the beam stage, keyed
-    by (tx pair, rx pair, SNR, beam mode): the stage reads no ranging
-    setting, so a later sigma point reuses it.  run_trial rewinds the
-    streams a grid point draws from: a memo hit rewinds only ftm, skips
-    the sweep and the refinement, and ranges copies of the memo's
-    trained observations that share their bearings; a miss rewinds every
-    stream and stores the stage's result.  So every grid point gives
-    what a fresh Trial of the same (seed, trial) gives, provided the
-    settings outside the key stay the same for one Trial.
+    their CN(0,1) channel gains.  beams memoizes the beam stage, keyed by
+    (tx pair, rx pair, SNR, beam mode), as it reads no ranging setting.
+    angles memoizes per (that key, plane name) the solve's angle stage,
+    or the status of a failure that reads no path length: ranging keeps
+    the trained bearings and SNR, so the one-record table yields the
+    same partner (or none) at every sigma.
+
+    A miss (a key's first point) rewinds every stream, trains, ranges,
+    selects the partner and solves in full, and fills both memos.  A hit
+    rewinds only ftm, draws the two ranges and runs solve_ranges.  So
+    every grid point gives what a fresh Trial of the same (seed, trial)
+    gives, provided the settings outside the key stay the same.
     """
 
     scene: Scenario
     rng: TrialRng
     paths: tuple[tuple[PathObservation, complex], tuple[PathObservation, complex]]
     beams: dict[tuple, tuple[PathBeams, PathBeams]] = field(default_factory=dict)
+    angles: dict[tuple, AngleStage | str] = field(default_factory=dict)
 
     @classmethod
     def start(cls, scene: Scenario, rng: TrialRng) -> "Trial":
@@ -478,56 +491,77 @@ class Trial:
         return cls(scene, rng, ((truth1, gain1), (truth2, gain2)))
 
 
+def _outcome(fn: Callable, *args):
+    """fn(*args), or the trial status of the failure it raises."""
+    try:
+        return fn(*args)
+    except _FAILURES as exc:
+        return _FAILURE_STATUS[type(exc)]
+
+
+def _first_fix(
+    capacity: int, obs1: PathObservation, obs2: PathObservation, plane_name: str
+) -> tuple[SolveResult | str, AngleStage | str]:
+    """One plane's fix (or failure status) from a table holding obs2,
+    with the plane's Trial.angles entry."""
+    plane = ProjectionPlane.from_name(plane_name)
+    table = MeasurementTable(capacity)
+    table.add(obs2)
+    try:
+        partner = select_historical(table, obs1, 1, plane=plane)[0]
+    except NoUsableHistory:
+        return "no_history", "no_history"
+    return _outcome(solve, obs1, partner, plane), _outcome(solve_angles, obs1, partner, plane)
+
+
 def run_trial(
     cfg: ExperimentConfig, trial: Trial, codebooks: tuple[Codebook, Codebook] | None = None
 ) -> TrialResult:
     """One end-to-end localization attempt at a single-point grid;
     failures become data.  See Trial for what a grid point reuses."""
     cfg = cfg.single()
-    (tx_pair, rx_pair) = cfg.upa_pairs()[0]
-    if codebooks is None:
-        tx_cb = build_codebook(UpaGeometry(*tx_pair), cfg.oversampling)
-        rx_cb = build_codebook(UpaGeometry(*rx_pair), cfg.oversampling)
-    else:
-        tx_cb, rx_cb = codebooks
-
+    tx_pair, rx_pair = cfg.tx_upa[0], cfg.rx_upa[0]
     snr = cfg.snr_db[0]
-    if math.isinf(snr) and snr > 0:
-        p_t, noise = 1.0, 0.0  # exact, noise-free measurements
-    else:
-        p_t, noise = 10.0 ** (snr / 10.0), 1.0
     rng, scenario = trial.rng, trial.scene
     key = (tx_pair, rx_pair, snr, cfg.beam[0])
     if key in trial.beams:
         rng.rewind("ftm")
     else:
+        if codebooks is None:
+            codebooks = tuple(build_codebook(UpaGeometry(*pair), cfg.oversampling) for pair in (tx_pair, rx_pair))
+        if math.isinf(snr) and snr > 0:
+            p_t, noise = 1.0, 0.0  # exact, noise-free measurements
+        else:
+            p_t, noise = 10.0 ** (snr / 10.0), 1.0
         rng.rewind()
         trial.beams[key] = tuple(
-            _train_beams(cfg, truth, gain, tx_cb, rx_cb, p_t, noise, rng) for truth, gain in trial.paths
+            _train_beams(cfg, truth, gain, *codebooks, p_t, noise, rng) for truth, gain in trial.paths
         )
     (trained1, snr1), (trained2, snr2) = trial.beams[key]
     ftm = FtmConfig(cfg.ftm_sigma_m[0])
-    obs1 = trained1.with_path_length(ftm_distance(trained1.path_length, ftm, rng.ftm))
-    obs2 = trained2.with_path_length(ftm_distance(trained2.path_length, ftm, rng.ftm))
+    c1 = ftm_distance(trained1.path_length, ftm, rng.ftm)
+    c2 = ftm_distance(trained2.path_length, ftm, rng.ftm)
     realized = 0.5 * (snr1 + snr2)
-
-    table = MeasurementTable(cfg.table_capacity)
-    table.add(obs2)
 
     positions = []
     scene: SceneType | None = None
     first_failure: str | None = None
     for plane_name in cfg.planes:
-        plane = ProjectionPlane.from_name(plane_name)
-        try:
-            partner = select_historical(table, obs1, 1, plane=plane)[0]
-            result = solve(obs1, partner, plane)
-        except tuple(_FAILURE_STATUS) as exc:
-            first_failure = first_failure or _FAILURE_STATUS[type(exc)]
+        angles = trial.angles.get((key, plane_name))
+        if angles is None:
+            fix, trial.angles[key, plane_name] = _first_fix(
+                cfg.table_capacity, trained1.with_path_length(c1), trained2.with_path_length(c2), plane_name
+            )
+        elif isinstance(angles, str):
+            fix = angles
+        else:
+            fix = _outcome(solve_ranges, angles, c1, c2)
+        if isinstance(fix, str):
+            first_failure = first_failure or fix
             continue
-        positions.append(localize(result, scenario.sta_pos))
+        positions.append(localize(fix, scenario.sta_pos))
         if scene is None:
-            scene = result.scene
+            scene = fix.scene
 
     if positions:
         est = sum(positions) / len(positions)  # np.mean's arithmetic, bit for bit
@@ -574,7 +608,14 @@ def _aggregate(point_cfg: ExperimentConfig, results: list[TrialResult]) -> Curve
     errs = np.array([r.distance_error for r in results if r.status == "ok"])
     n_ok = errs.size
     n_fail = len(results) - n_ok
-    realized = np.array([r.realized_snr_db for r in results if math.isfinite(r.realized_snr_db)])
+    snrs = [r.realized_snr_db for r in results]
+    realized = np.array([v for v in snrs if math.isfinite(v)])
+    if realized.size:
+        snr_mean = float(realized.mean())
+    elif set(snrs) in ({math.inf}, {-math.inf}):
+        snr_mean = snrs[0]  # every trial at the same infinity, as at an infinite SNR point
+    else:
+        snr_mean = math.nan
     if n_ok:
         mean = float(errs.mean())
         stderr = float(errs.std(ddof=1) / math.sqrt(n_ok)) if n_ok > 1 else math.nan
@@ -595,7 +636,7 @@ def _aggregate(point_cfg: ExperimentConfig, results: list[TrialResult]) -> Curve
         stderr_m=stderr,
         p50=p50,
         p90=p90,
-        realized_snr_db_mean=float(realized.mean()) if realized.size else math.nan,
+        realized_snr_db_mean=snr_mean,
     )
 
 

@@ -5,6 +5,7 @@ read off exact angles and path lengths, then require the solver to
 recover the reflector range and position from those measurements alone.
 """
 
+import dataclasses
 import functools
 import math
 from unittest import mock
@@ -18,6 +19,7 @@ from mm3nlos.geom import (
     EPS_COLLINEAR,
     EPS_PROJECTION,
     DegenerateProjection,
+    GeomError,
     InconsistentGeometry,
     PathObservation,
     ProjectionPlane,
@@ -35,6 +37,8 @@ from mm3nlos.geom import (
     pair_unsolvable,
     reflex_reduce,
     solve,
+    solve_angles,
+    solve_ranges,
 )
 
 TAU = 2.0 * math.pi
@@ -521,3 +525,84 @@ def test_rotation_about_the_plane_normal_keeps_distance_and_scene(seed, plane, a
     turned = solve_points(*(rot @ p for p in pts), plane)
     assert turned.scene == base.scene
     assert math.isclose(turned.distance, base.distance, rel_tol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the two solver stages
+
+_AP, _STA_X, _STA_Y = np.zeros(3), np.array([2.0, 0.0, 0.0]), np.array([0.0, 2.0, 0.0])
+_U_AP, _U_STA = np.array([math.cos(1.1), math.sin(1.1), 0.0]), np.array([math.cos(2.2), math.sin(2.2), 0.0])
+
+#: The audit golden's fixed scenes: the frozen scene, the three code-5
+#: scenes, the baseline family, code 0 and a direction normal to yoz.
+STAGE_CASES = [
+    (FROZEN_AP, FROZEN_STA, FROZEN_T1, FROZEN_T2, YOZ),
+    (_AP, _STA_X, _AP + 1.0 * _U_AP + [0.0, 0.0, 0.3], _AP + 2.2 * _U_AP + [0.0, 0.0, -0.4], XOY),
+    (_AP, _STA_X, _STA_X + 1.1 * _U_STA + [0.0, 0.0, 0.25], _STA_X + 2.4 * _U_STA + [0.0, 0.0, -0.35], XOY),
+    (_AP, _STA_X, _STA_X + 1.1 * _U_STA + [0.0, 0.0, 0.25], _STA_X - 1.7 * _U_STA + [0.0, 0.0, 0.4], XOY),
+    (_AP, _STA_Y, np.array([0.0, 0.8, 0.0]), np.array([0.0, 1.5, 2.0]), YOZ),
+    (_AP, _STA_Y, np.array([0.0, 3.0, 0.0]), np.array([0.0, 4.0, 0.0]), YOZ),
+    (_AP, _STA_Y, np.array([1.5, 0.0, 0.0]), np.array([0.0, 1.0, 1.0]), YOZ),
+]
+
+
+def _sampled_case(seed, plane):
+    return (*sample_scene(np.random.default_rng(seed), plane), plane)
+
+
+stage_cases = st.one_of(
+    st.sampled_from(STAGE_CASES), st.builds(_sampled_case, scene_seeds, st.sampled_from([YOZ, XOY, XOZ]))
+)
+# Exact lengths, near ones, and far ones that drive the range-stage checks.
+length_scales = st.one_of(st.just(1.0), st.floats(0.3, 3.0), st.floats(1e-6, 1e6))
+
+
+def _attempt(fn, *args):
+    try:
+        return fn(*args)
+    except GeomError as exc:
+        return exc
+
+
+def _bits(res):
+    """Every output of a solve, bit for bit; NaN and -0.0 are told apart."""
+    inter = tuple(float(v).hex() for v in dataclasses.astuple(res.intermediates))
+    return res.scene, float(res.distance).hex(), res.direction.tobytes(), inter
+
+
+def stages_agree(case, scale_1, scale_2):
+    """Compare solve_ranges(solve_angles(...)) with solve on fresh
+    observations carrying the scaled lengths; return which stage decided
+    the outcome and how."""
+    ap, sta, t1, t2, plane = case
+    obs1, obs2 = observe(ap, sta, t1, 1), observe(ap, sta, t2, 0)
+    c1, c2 = obs1.path_length * scale_1, obs2.path_length * scale_2
+    direct = _attempt(solve, dataclasses.replace(obs1, path_length=c1), dataclasses.replace(obs2, path_length=c2), plane)
+    stage = _attempt(solve_angles, obs1, obs2, plane)
+    if isinstance(stage, GeomError):
+        assert type(direct) is type(stage)
+        return "angles", type(stage).__name__, str(stage).split()[0]
+    staged = _attempt(solve_ranges, stage, c1, c2)
+    if isinstance(direct, GeomError):
+        assert type(staged) is type(direct)
+        return stage.scene.code, type(staged).__name__, " ".join(str(staged).split()[:2])
+    assert _bits(staged) == _bits(direct)
+    return stage.scene.code, "ok", ""
+
+
+@given(case=stage_cases, scale_1=length_scales, scale_2=length_scales)
+def test_the_range_stage_of_the_angle_stage_is_solve(case, scale_1, scale_2):
+    stages_agree(case, scale_1, scale_2)
+
+
+def test_the_stage_comparison_reaches_every_scene_code_and_failure():
+    rng = np.random.default_rng(41)
+    cases = STAGE_CASES + [_sampled_case(int(s), p) for p in (YOZ, XOY, XOZ) for s in rng.integers(0, 2**32, 60)]
+    seen = {stages_agree(case, *scales) for case in cases for scales in ((1.0, 1.0), (0.5, 1.0), (1.0, 1e-4), (3.0, 1.0))}
+    codes = {code for code, _, _ in seen if code != "angles"}
+    assert codes == {1, 2, 3, 4, 5}
+    assert {("angles", "Unsolvable", "both"), ("angles", "DegenerateProjection", "a")} <= seen
+    failures = {(kind, why) for code, kind, why in seen if code != "angles" and kind != "ok"}
+    assert {("InconsistentGeometry", "reflector distance"), ("InconsistentGeometry", "implied reflector-1")} <= failures
+    # Code 5 fails in the range stage too.
+    assert any(code == 5 and kind == "InconsistentGeometry" for code, kind, _ in seen)

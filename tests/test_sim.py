@@ -1,6 +1,7 @@
 """End-to-end trial, experiment grid, and reproducibility tests."""
 
 import math
+from collections import Counter
 from itertools import product
 from unittest import mock
 
@@ -614,21 +615,64 @@ def test_each_trial_is_sampled_once_for_the_whole_grid():
 
 def test_grid_points_match_trials_run_from_fresh_streams():
     # Later grid points rewind each trial's streams, reuse its paths and,
-    # at a later sigma, its beam-trained angles; every result must equal
-    # a trial run from freshly seeded streams with no memo.
+    # at a later sigma, its beam-trained angles and each plane's angle
+    # stage; every result must equal a trial run from freshly seeded
+    # streams with no memo, on both planes and on each plane alone.
+    planes = ("yoz", "xoy")
     cfg = small_cfg(
-        snr_db=(10.0, 30.0), ftm_sigma_m=(0.01, 0.1), beam=("best", "aux"), trials=3, seed=6
+        snr_db=(10.0, 30.0), ftm_sigma_m=(0.01, 0.1), beam=("best", "aux"), planes=planes, trials=6, seed=6
     )
     out = run_experiment(cfg, collect_raw=True)
     assert len(out.raw) == 2 * 2 * 2 * cfg.trials
     sample = make_scenario_sampler(cfg)
     points = product(cfg.snr_db, cfg.ftm_sigma_m, cfg.beam, range(cfg.trials))
+    mixed = Counter()
     for (snr, sigma, mode, trial), got in zip(points, out.raw, strict=True):
-        rng = TrialRng.from_seed(cfg.seed, trial)
-        point = small_cfg(snr_db=(snr,), ftm_sigma_m=(sigma,), beam=(mode,), seed=6)
-        want = run_trial(point, Trial.start(sample(rng.scenario), rng))
-        for name in ("status", "scene", "distance_error", "realized_snr_db", "est_position"):
-            np.testing.assert_equal(getattr(got, name), getattr(want, name))
+        alone = []
+        for subset in (planes, *((p,) for p in planes)):
+            rng = TrialRng.from_seed(cfg.seed, trial)
+            point = small_cfg(snr_db=(snr,), ftm_sigma_m=(sigma,), beam=(mode,), planes=subset, seed=6)
+            want = run_trial(point, Trial.start(sample(rng.scenario), rng))
+            if subset == planes:
+                for name in ("status", "scene", "distance_error", "realized_snr_db", "est_position"):
+                    np.testing.assert_equal(getattr(got, name), getattr(want, name))
+            else:
+                alone.append(want.status)
+        if (alone[0] == "ok") != (alone[1] == "ok"):
+            mixed["one plane"] += 1  # the estimate is the solving plane's alone
+            assert got.status == "ok"
+        elif "ok" not in alone and alone[0] != alone[1]:
+            mixed["two failures"] += 1  # the first plane's failure is reported
+            assert got.status == alone[0]
+        elif alone == ["ok", "ok"]:
+            mixed["two positions"] += 1
+    assert min(mixed["one plane"], mixed["two failures"], mixed["two positions"]) > 0, mixed
+
+
+def test_a_sigma_grid_selects_and_solves_each_plane_once_per_trial():
+    # Only a trial's first sigma point (a memo miss) builds the table,
+    # selects the partner and solves; the others run the range stage.
+    cfg = small_cfg(ftm_sigma_m=(0.0, 0.005, 0.01, 0.02, 0.05), planes=("yoz", "xoy"), trials=4, seed=4)
+    partners = []
+    original = sim.select_historical
+
+    def select(*args, **kwargs):
+        found = original(*args, **kwargs)  # or raises NoUsableHistory
+        partners.append(found)
+        return found
+
+    with (
+        mock.patch.object(sim, "select_historical", side_effect=select) as selected,
+        mock.patch.object(sim, "solve", wraps=sim.solve) as solved,
+        mock.patch.object(sim, "solve_ranges", wraps=sim.solve_ranges) as ranged,
+        mock.patch.object(sim, "ftm_distance", wraps=sim.ftm_distance) as ranging,
+    ):
+        out = run_experiment(cfg, collect_raw=True)
+    assert selected.call_count == len(cfg.planes) * cfg.trials
+    assert solved.call_count == len(partners) > 0
+    # A hit runs the range stage once per plane whose angle stage stands.
+    assert 0 < ranged.call_count <= 4 * len(partners)
+    assert ranging.call_count == 2 * len(out.raw)
 
 
 @pytest.mark.parametrize(
@@ -710,6 +754,22 @@ def test_raw_rows_are_labelled_in_grid_order():
 def test_a_minus_infinite_snr_point_reports_minus_infinite_snr():
     out = run_experiment(small_cfg(snr_db=(-math.inf,), trials=3), collect_raw=True)
     assert [r.realized_snr_db for r in out.raw] == [-math.inf] * 3
+
+
+@pytest.mark.parametrize("snr", [math.inf, -math.inf])
+def test_an_infinite_snr_point_averages_to_its_infinity(snr):
+    out = run_experiment(small_cfg(snr_db=(snr,), trials=3), collect_raw=True)
+    assert [r.realized_snr_db for r in out.raw] == [snr] * 3
+    assert out.curve[0].realized_snr_db_mean == snr
+
+
+def test_snr_mean_is_nan_when_the_trials_reach_different_infinities():
+    results = [
+        sim.TrialResult(np.zeros(3), np.full(3, math.nan), math.nan, None, snr, "no_history")
+        for snr in (math.inf, -math.inf)
+    ]
+    assert math.isnan(sim._aggregate(small_cfg(), results).realized_snr_db_mean)
+    assert sim._aggregate(small_cfg(), results[:1] * 2).realized_snr_db_mean == math.inf
 
 
 def test_progress_callback_sees_every_row():
