@@ -98,8 +98,10 @@ class PathObservation:
     path_length: float
     snr_db: float
     timestamp: int
-    # plane -> bearings(plane); outside equality, hashing and repr, and
-    # shared by the range-only copies of with_path_length.
+    # plane -> bearings(plane); outside equality, hashing and repr.
+    # Bearings read the two directions only, so a trial's trained
+    # observation serves selection and solve_angles once per plane, and
+    # no ranging-noise point reads it again.
     _bearings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -108,24 +110,12 @@ class PathObservation:
         if math.isnan(self.snr_db):
             raise ValueError("snr_db must not be NaN")  # it orders partner selection
 
-    def with_path_length(self, path_length: float) -> "PathObservation":
-        """This observation with another path length.
-
-        The copy shares this observation's bearing memo: bearings depend
-        on the two directions only, so each plane is projected once for
-        the original and all its copies.
-        """
-        copy = PathObservation(self.aod, self.aoa, path_length, self.snr_db, self.timestamp)
-        object.__setattr__(copy, "_bearings", self._bearings)
-        return copy
-
     def bearings(self, plane: "ProjectionPlane") -> tuple[float, float, float, float] | None:
         """(aod azimuth, aod tilt, aoa azimuth, aoa tilt) in the plane, or
         None when either direction is normal to it.
 
         Memoized per plane object, so the solver and the partner selector
-        project an observation (and its with_path_length copies) once per
-        plane however often they see it.
+        project an observation once per plane however often they see it.
         Named planes are shared instances; a plane built anew for every
         call adds one entry per call.
         """

@@ -17,11 +17,11 @@ channel gains, ranging noise and refinement noise, which pairs their
 comparisons and pins every output byte for a given seed; a change to
 how many draws one stream takes leaves the others alone.  What a trial
 draws once and every grid point shares is one Trial record; its
-docstring states the reuse contract.  A point that differs from an
-earlier one of its trial only in the ranging noise reuses the trained
-beams, the partner choice and the solver's angle stage, none of which
-reads a path length, and redraws only the two ranges for the solver's
-range stage.
+docstring states the reuse contract.  Every grid point takes one path:
+it looks up its trial's angle stages (beam training, partner choice and
+the solver's angle stage, none of which reads a path length), computed
+by the first point of their key, then redraws the two ranges and runs
+the solver's range stage.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .geom import (
     PathObservation,
     ProjectionPlane,
     SceneType,
-    SolveResult,
     SphericalAngles,
     Unsolvable,
     angles_from_direction,
@@ -138,10 +137,10 @@ class TrialRng:
     def rewind(self, *names: str) -> None:
         """Return the named streams to their state at construction.
 
-        With no name: sweep, ftm and (once built) aux, every stream a
-        grid point consumes afresh; a point that reuses its trial's beam
-        stage names only "ftm".  Restoring a state costs about a tenth
-        of seeding a generator.
+        With no name: sweep, ftm and (once built) aux, as a Trial.memo
+        fill does before training; every grid point then names only
+        "ftm" before ranging.  Restoring a state costs about a tenth of
+        seeding a generator.
         """
         for name in names or self._start:
             getattr(self, name).bit_generator.state = self._start[name]
@@ -179,7 +178,9 @@ class ExperimentConfig:
     broadside +x, STA broadside -x), so the reflector box sits between
     them and every direction splits into an in-plane (yz) part measured
     by the array and an off-plane part along the baseline.  The noise
-    power is 1, so snr_db sets the transmit power.
+    power is 1, so snr_db sets the transmit power.  table_capacity sizes
+    solve-once's table; a sweep's trial pairs its paths in a one-record
+    table.
     """
 
     tx_upa: tuple[tuple[int, int], ...] = ((32, 32),)
@@ -403,14 +404,6 @@ def make_scenario_sampler(cfg: ExperimentConfig) -> Callable[[np.random.Generato
     return sample
 
 
-#: One path's beam-trained estimate and its matched SNR dB.  The
-#: observation holds the global AoD and AoA, the measured SNR dB and the
-#: path's timestamp; its path length is the true one, which a miss
-#: replaces by a ranged copy sharing its bearings and a hit passes
-#: straight to solve_ranges.
-PathBeams = tuple[PathObservation, float]
-
-
 def _train_beams(
     cfg: ExperimentConfig,
     truth: PathObservation,
@@ -420,10 +413,12 @@ def _train_beams(
     p_t: float,
     noise: float,
     rng: TrialRng,
-) -> PathBeams:
+) -> tuple[PathObservation, float]:
     """Beam stage of one path: the swept (and, in aux mode, refined)
-    observation.  It reads the sweep and aux streams and no ranging
-    setting."""
+    observation and the path's matched SNR dB.  The observation holds
+    the global AoD and AoA, the measured SNR dB, the path's timestamp
+    and its true length, which nothing downstream reads.  It reads the
+    sweep and aux streams and no ranging setting."""
     ap_yaw = math.radians(cfg.ap_yaw_deg)
     sta_yaw = math.radians(cfg.sta_yaw_deg)
     ch = ChannelRealization(
@@ -459,25 +454,24 @@ class Trial:
     """What one trial draws once and every grid point shares.
 
     paths holds the scene's two exact observations (path 1 first) with
-    their CN(0,1) channel gains.  beams memoizes the beam stage, keyed by
-    (tx pair, rx pair, SNR, beam mode), as it reads no ranging setting.
-    angles memoizes per (that key, plane name) the solve's angle stage,
-    or the status of a failure that reads no path length: ranging keeps
-    the trained bearings and SNR, so the one-record table yields the
-    same partner (or none) at every sigma.
+    their CN(0,1) channel gains.  memo maps (tx pair, rx pair, SNR, beam
+    mode, planes) to what a point computes before ranging: the realized
+    SNR and, per plane, the solver's angle stage or the status of a
+    failure that reads no path length.  Beam training reads no ranging
+    setting, partner selection reads bearings, SNR and timestamps, and
+    solve_angles reads no length, so none of it depends on sigma.
 
-    A miss (a key's first point) rewinds every stream, trains, ranges,
-    selects the partner and solves in full, and fills both memos.  A hit
-    rewinds only ftm, draws the two ranges and runs solve_ranges.  So
-    every grid point gives what a fresh Trial of the same (seed, trial)
+    The first point of a key rewinds every stream and fills its entry.
+    Every point, that one included, then rewinds only ftm, ranges both
+    paths and runs solve_ranges on each standing angle stage.  So every
+    grid point gives what a fresh Trial of the same (seed, trial)
     gives, provided the settings outside the key stay the same.
     """
 
     scene: Scenario
     rng: TrialRng
     paths: tuple[tuple[PathObservation, complex], tuple[PathObservation, complex]]
-    beams: dict[tuple, tuple[PathBeams, PathBeams]] = field(default_factory=dict)
-    angles: dict[tuple, AngleStage | str] = field(default_factory=dict)
+    memo: dict[tuple, tuple[float, tuple[AngleStage | str, ...]]] = field(default_factory=dict)
 
     @classmethod
     def start(cls, scene: Scenario, rng: TrialRng) -> "Trial":
@@ -499,19 +493,32 @@ def _outcome(fn: Callable, *args):
         return _FAILURE_STATUS[type(exc)]
 
 
-def _first_fix(
-    capacity: int, obs1: PathObservation, obs2: PathObservation, plane_name: str
-) -> tuple[SolveResult | str, AngleStage | str]:
-    """One plane's fix (or failure status) from a table holding obs2,
-    with the plane's Trial.angles entry."""
-    plane = ProjectionPlane.from_name(plane_name)
-    table = MeasurementTable(capacity)
-    table.add(obs2)
-    try:
-        partner = select_historical(table, obs1, 1, plane=plane)[0]
-    except NoUsableHistory:
-        return "no_history", "no_history"
-    return _outcome(solve, obs1, partner, plane), _outcome(solve_angles, obs1, partner, plane)
+def _pair_angles(table: MeasurementTable, current: PathObservation, plane: ProjectionPlane) -> AngleStage:
+    """The angle stage of current with its partner from table."""
+    return solve_angles(current, select_historical(table, current, 1, plane=plane)[0], plane)
+
+
+def _angle_stages(
+    cfg: ExperimentConfig, trial: Trial, codebooks: tuple[Codebook, Codebook] | None
+) -> tuple[float, tuple[AngleStage | str, ...]]:
+    """A Trial.memo entry: train both paths' beams from rewound streams,
+    then per plane pair path 1 with path 2 from a one-record table."""
+    tx_pair, rx_pair = cfg.tx_upa[0], cfg.rx_upa[0]
+    if codebooks is None:
+        codebooks = tuple(build_codebook(UpaGeometry(*pair), cfg.oversampling) for pair in (tx_pair, rx_pair))
+    snr = cfg.snr_db[0]
+    if math.isinf(snr) and snr > 0:
+        p_t, noise = 1.0, 0.0  # exact, noise-free measurements
+    else:
+        p_t, noise = 10.0 ** (snr / 10.0), 1.0
+    trial.rng.rewind()
+    (trained1, snr1), (trained2, snr2) = (
+        _train_beams(cfg, truth, gain, *codebooks, p_t, noise, trial.rng) for truth, gain in trial.paths
+    )
+    table = MeasurementTable(1)
+    table.add(trained2)
+    stages = tuple(_outcome(_pair_angles, table, trained1, ProjectionPlane.from_name(name)) for name in cfg.planes)
+    return 0.5 * (snr1 + snr2), stages
 
 
 def run_trial(
@@ -520,55 +527,23 @@ def run_trial(
     """One end-to-end localization attempt at a single-point grid;
     failures become data.  See Trial for what a grid point reuses."""
     cfg = cfg.single()
-    tx_pair, rx_pair = cfg.tx_upa[0], cfg.rx_upa[0]
-    snr = cfg.snr_db[0]
-    rng, scenario = trial.rng, trial.scene
-    key = (tx_pair, rx_pair, snr, cfg.beam[0])
-    if key in trial.beams:
-        rng.rewind("ftm")
-    else:
-        if codebooks is None:
-            codebooks = tuple(build_codebook(UpaGeometry(*pair), cfg.oversampling) for pair in (tx_pair, rx_pair))
-        if math.isinf(snr) and snr > 0:
-            p_t, noise = 1.0, 0.0  # exact, noise-free measurements
-        else:
-            p_t, noise = 10.0 ** (snr / 10.0), 1.0
-        rng.rewind()
-        trial.beams[key] = tuple(
-            _train_beams(cfg, truth, gain, *codebooks, p_t, noise, rng) for truth, gain in trial.paths
-        )
-    (trained1, snr1), (trained2, snr2) = trial.beams[key]
+    key = (cfg.tx_upa[0], cfg.rx_upa[0], cfg.snr_db[0], cfg.beam[0], cfg.planes)
+    if key not in trial.memo:
+        trial.memo[key] = _angle_stages(cfg, trial, codebooks)
+    realized, stages = trial.memo[key]
+    trial.rng.rewind("ftm")
     ftm = FtmConfig(cfg.ftm_sigma_m[0])
-    c1 = ftm_distance(trained1.path_length, ftm, rng.ftm)
-    c2 = ftm_distance(trained2.path_length, ftm, rng.ftm)
-    realized = 0.5 * (snr1 + snr2)
+    (truth1, _), (truth2, _) = trial.paths
+    c1 = ftm_distance(truth1.path_length, ftm, trial.rng.ftm)
+    c2 = ftm_distance(truth2.path_length, ftm, trial.rng.ftm)
 
-    positions = []
-    scene: SceneType | None = None
-    first_failure: str | None = None
-    for plane_name in cfg.planes:
-        angles = trial.angles.get((key, plane_name))
-        if angles is None:
-            fix, trial.angles[key, plane_name] = _first_fix(
-                cfg.table_capacity, trained1.with_path_length(c1), trained2.with_path_length(c2), plane_name
-            )
-        elif isinstance(angles, str):
-            fix = angles
-        else:
-            fix = _outcome(solve_ranges, angles, c1, c2)
-        if isinstance(fix, str):
-            first_failure = first_failure or fix
-            continue
-        positions.append(localize(fix, scenario.sta_pos))
-        if scene is None:
-            scene = fix.scene
-
-    if positions:
-        est = sum(positions) / len(positions)  # np.mean's arithmetic, bit for bit
-        err = float(np.linalg.norm(est - scenario.target1_pos))
-        return TrialResult(scenario.target1_pos, est, err, scene, realized, "ok")
-    nan3 = np.full(3, math.nan)
-    return TrialResult(scenario.target1_pos, nan3, math.nan, None, realized, first_failure or "no_history")
+    fixes = [stage if isinstance(stage, str) else _outcome(solve_ranges, stage, c1, c2) for stage in stages]
+    solved = [fix for fix in fixes if not isinstance(fix, str)]
+    target = trial.scene.target1_pos
+    if not solved:  # every plane failed; the first plane's status stands
+        return TrialResult(target, np.full(3, math.nan), math.nan, None, realized, fixes[0])
+    est = sum([localize(fix, trial.scene.sta_pos) for fix in solved]) / len(solved)  # np.mean's arithmetic, bit for bit
+    return TrialResult(target, est, float(np.linalg.norm(est - target)), solved[0].scene, realized, "ok")
 
 
 @dataclass(frozen=True)

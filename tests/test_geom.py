@@ -8,7 +8,6 @@ recover the reflector range and position from those measurements alone.
 import dataclasses
 import functools
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -344,21 +343,6 @@ def test_path_observation_rejects_nonpositive_length():
     a = SphericalAngles(0.1, 1.0)
     with pytest.raises(ValueError):
         PathObservation(a, a, 0.0, 0.0, 0)
-
-
-def test_range_only_copy_shares_the_bearings():
-    obs = PathObservation(SphericalAngles(0.4, 1.2), SphericalAngles(2.5, 1.9), 3.0, 12.5, 4)
-    want = {plane: obs.bearings(plane) for plane in (YOZ, XOY)}
-    with mock.patch("mm3nlos.geom.bearing", wraps=bearing) as counted:
-        copy = obs.with_path_length(3.25)
-        assert copy == PathObservation(obs.aod, obs.aoa, 3.25, obs.snr_db, obs.timestamp)
-        assert {plane: copy.bearings(plane) for plane in (YOZ, XOY)} == want
-    assert counted.call_count == 0
-    assert copy._bearings is obs._bearings
-    copy.bearings(XOZ)  # a new plane seen through the copy fills the original's memo
-    assert XOZ in obs._bearings
-    with pytest.raises(ValueError):
-        obs.with_path_length(0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -650,28 +650,34 @@ def test_grid_points_match_trials_run_from_fresh_streams():
 
 
 def test_a_sigma_grid_selects_and_solves_each_plane_once_per_trial():
-    # Only a trial's first sigma point (a memo miss) builds the table,
-    # selects the partner and solves; the others run the range stage.
+    # Only a trial's first sigma point (its memo fill) selects the
+    # partner and runs the angle stage, once per plane; every point runs
+    # the range stage once per plane whose angle stage stood, and none
+    # runs the full solve.
     cfg = small_cfg(ftm_sigma_m=(0.0, 0.005, 0.01, 0.02, 0.05), planes=("yoz", "xoy"), trials=4, seed=4)
-    partners = []
-    original = sim.select_historical
+    partners, stood = [], []
+    select, angles = sim.select_historical, sim.solve_angles
 
-    def select(*args, **kwargs):
-        found = original(*args, **kwargs)  # or raises NoUsableHistory
-        partners.append(found)
-        return found
+    def selecting(*args, **kwargs):
+        partners.append(select(*args, **kwargs))  # or raises NoUsableHistory
+        return partners[-1]
+
+    def staging(*args):
+        stood.append(angles(*args))  # or raises a GeomError
+        return stood[-1]
 
     with (
-        mock.patch.object(sim, "select_historical", side_effect=select) as selected,
+        mock.patch.object(sim, "select_historical", side_effect=selecting) as selected,
+        mock.patch.object(sim, "solve_angles", side_effect=staging) as staged,
         mock.patch.object(sim, "solve", wraps=sim.solve) as solved,
         mock.patch.object(sim, "solve_ranges", wraps=sim.solve_ranges) as ranged,
         mock.patch.object(sim, "ftm_distance", wraps=sim.ftm_distance) as ranging,
     ):
         out = run_experiment(cfg, collect_raw=True)
     assert selected.call_count == len(cfg.planes) * cfg.trials
-    assert solved.call_count == len(partners) > 0
-    # A hit runs the range stage once per plane whose angle stage stands.
-    assert 0 < ranged.call_count <= 4 * len(partners)
+    assert staged.call_count == len(partners) > 0
+    solved.assert_not_called()
+    assert ranged.call_count == len(cfg.ftm_sigma_m) * len(stood) > 0
     assert ranging.call_count == 2 * len(out.raw)
 
 
@@ -702,9 +708,9 @@ def test_beams_are_trained_once_per_trial_snr_and_mode(axes, sweeps, refines):
 
 
 def test_bearings_are_taken_once_per_trial_and_plane_across_the_sigma_grid():
-    # Each trial's two trained observations carry one bearing memo that
-    # every sigma point's range-only copies share: two bearings per
-    # observation and plane, whatever the grid's sigma count.
+    # Only a trial's memo fill reads bearings, and partner selection and
+    # the angle stage share each trained observation's bearing memo: two
+    # bearings per observation and plane, whatever the grid's sigma count.
     cfg = small_cfg(ftm_sigma_m=(0.0, 0.005, 0.01, 0.02, 0.05), planes=("yoz", "xoy"), trials=3, seed=4)
     with mock.patch("mm3nlos.geom.bearing", wraps=geom.bearing) as counted:
         run_experiment(cfg)
@@ -732,7 +738,30 @@ def test_a_memo_hit_rewinds_only_the_ftm_stream():
     want = run_trial(point, Trial.start(trial.scene, TrialRng.from_seed(4, 0)))
     got = run_trial(point, trial)
     np.testing.assert_equal(got.est_position, want.est_position)
-    assert len(trial.beams) == 2
+    assert len(trial.memo) == 2
+
+
+def test_a_trial_reused_across_plane_sets_matches_fresh_trials():
+    # The plane set is part of the memo key: a trial run on two planes,
+    # then on each plane alone, gives at each what a fresh trial gives.
+    plane_sets = (("yoz", "xoy"), ("xoy",), ("yoz",))
+    cfg = small_cfg(beam=("aux",), seed=6)
+    sample = make_scenario_sampler(cfg)
+    differs = 0
+    for t in range(4):
+        rng = TrialRng.from_seed(cfg.seed, t)
+        trial = Trial.start(sample(rng.scenario), rng)
+        errors = set()
+        for planes in plane_sets:
+            point = small_cfg(beam=("aux",), planes=planes, seed=6)
+            got = run_trial(point, trial)
+            want = run_trial(point, Trial.start(trial.scene, TrialRng.from_seed(cfg.seed, t)))
+            for name in ("status", "scene", "distance_error", "realized_snr_db", "est_position"):
+                np.testing.assert_equal(getattr(got, name), getattr(want, name))
+            errors.add(got.distance_error)
+        assert len(trial.memo) == len(plane_sets)
+        differs += len(errors) > 1
+    assert differs > 0  # the plane sets' estimates differ, so a shared entry would show
 
 
 def test_raw_rows_are_labelled_in_grid_order():
