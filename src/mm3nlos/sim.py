@@ -537,13 +537,19 @@ def run_trial(
     c1 = ftm_distance(truth1.path_length, ftm, trial.rng.ftm)
     c2 = ftm_distance(truth2.path_length, ftm, trial.rng.ftm)
 
-    fixes = [stage if isinstance(stage, str) else _outcome(solve_ranges, stage, c1, c2) for stage in stages]
-    solved = [fix for fix in fixes if not isinstance(fix, str)]
+    positions, failures, scene = [], [], None
+    for stage in stages:
+        fix = stage if isinstance(stage, str) else _outcome(solve_ranges, stage, c1, c2)
+        if isinstance(fix, str):
+            failures.append(fix)
+            continue
+        positions.append(localize(fix, trial.scene.sta_pos))
+        scene = scene or fix.scene
     target = trial.scene.target1_pos
-    if not solved:  # every plane failed; the first plane's status stands
-        return TrialResult(target, np.full(3, math.nan), math.nan, None, realized, fixes[0])
-    est = sum([localize(fix, trial.scene.sta_pos) for fix in solved]) / len(solved)  # np.mean's arithmetic, bit for bit
-    return TrialResult(target, est, float(np.linalg.norm(est - target)), solved[0].scene, realized, "ok")
+    if not positions:  # every plane failed; the first plane's status stands
+        return TrialResult(target, np.full(3, math.nan), math.nan, None, realized, failures[0])
+    est = sum(positions) / len(positions)  # np.mean's arithmetic, bit for bit
+    return TrialResult(target, est, float(np.linalg.norm(est - target)), scene, realized, "ok")
 
 
 @dataclass(frozen=True)
