@@ -335,6 +335,15 @@ def _run_sweep(args: argparse.Namespace, axis_defaults: Mapping[str, str]) -> in
     return 0
 
 
+#: solve-once's stderr line per solver failure, by exact type; any other
+#: GeomError prints "error: " and its message.
+_SOLVE_FAILURE = {
+    Unsolvable: "unsolvable: collinear (scene type 0)",
+    InconsistentGeometry: "inconsistent geometry: {}",
+    DegenerateProjection: "degenerate projection: {}",
+}
+
+
 def _solve_once(args: argparse.Namespace) -> int:
     try:
         cfg, _, _, _ = _resolve_config(args, {})
@@ -367,17 +376,8 @@ def _solve_once(args: argparse.Namespace) -> int:
             # nothing pairable: let the solver name the failure precisely
             partner = rest[-1].observation
         result = solve(current.observation, partner, plane)
-    except Unsolvable:
-        print("unsolvable: collinear (scene type 0)", file=sys.stderr)
-        return 1
-    except InconsistentGeometry as exc:
-        print(f"inconsistent geometry: {exc}", file=sys.stderr)
-        return 1
-    except DegenerateProjection as exc:
-        print(f"degenerate projection: {exc}", file=sys.stderr)
-        return 1
     except GeomError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_SOLVE_FAILURE.get(type(exc), "error: {}").format(exc), file=sys.stderr)
         return 1
 
     position = localize(result, cfg.sta_pos)

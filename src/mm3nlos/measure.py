@@ -1,10 +1,12 @@
 """Ranging noise and the historical measurement table.
 
 Path lengths come from fine-timing ranging, modeled as the true length
-plus Gaussian noise.  Every sensed path is logged in a bounded table;
-when a new path needs a partner for localization, the table is queried
-for the strongest historical record that is not collinear with the
-current one in the working plane, falling back to a separately kept
+plus Gaussian noise.  ftm_distance is a pure function of its standard
+normal, which the caller draws once and keeps, so one draw ranges a
+path at every noise level.  Every sensed path is logged in a bounded
+table; when a new path needs a partner for localization, the table is
+queried for the strongest historical record that is not collinear with
+the current one in the working plane, falling back to a separately kept
 first-path record.  Selection reads each observation's in-plane
 bearings from PathObservation.bearings, which memoizes them per plane
 on the observation, so the solver reuses what selection computed and a
@@ -16,9 +18,8 @@ skipping blanks and comments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .geom import (
     TAU,
@@ -40,23 +41,14 @@ class NoUsableHistory(Exception):
     """The table offers no record that could pair with the current path."""
 
 
-@dataclass(frozen=True)
-class FtmConfig:
-    """Ranging noise model: zero-mean Gaussian with std sigma_ftm meters."""
-
-    sigma_ftm: float
-
-    def __post_init__(self) -> None:
-        if self.sigma_ftm < 0.0:
-            raise ValueError(f"sigma_ftm must be >= 0, got {self.sigma_ftm}")
-
-
-def ftm_distance(true_length: float, cfg: FtmConfig, rng: np.random.Generator) -> float:
-    """One noisy range measurement, clamped positive."""
+def ftm_distance(true_length: float, sigma_ftm: float, normal: float) -> float:
+    """One range measurement with zero-mean Gaussian noise of std
+    sigma_ftm meters, given its standard normal, clamped positive."""
     if not true_length > 0.0:
         raise ValueError(f"true_length must be > 0, got {true_length}")
-    noisy = true_length + cfg.sigma_ftm * float(rng.standard_normal())
-    return max(noisy, MIN_DISTANCE)
+    if not 0.0 <= sigma_ftm < math.inf:
+        raise ValueError(f"sigma_ftm must be finite and >= 0, got {sigma_ftm}")
+    return max(true_length + sigma_ftm * normal, MIN_DISTANCE)
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,16 @@ channel, sweep, ftm, and aux for the auxiliary-beam refinement), each
 seeded by (seed, trial, stream).  Grid points therefore share scenes,
 channel gains, ranging noise and refinement noise, which pairs their
 comparisons and pins every output byte for a given seed; a change to
-how many draws one stream takes leaves the others alone.  What a trial
-draws once and every grid point shares is one Trial record; its
-docstring states the reuse contract.  Every grid point takes one path:
-it looks up its trial's angle stages (beam training, partner choice and
-the solver's angle stage, none of which reads a path length), computed
-by the first point of their key, then redraws the two ranges and runs
-the solver's range stage.
+how many draws one stream takes leaves the others alone.  Each draw is
+made once and kept as a value, never as a generator state: a trial's
+scene, channel gains and two ranging normals are drawn when it starts
+and held in its Trial record, whose docstring states the reuse
+contract, and the sweep and aux streams are seeded afresh for each
+beam training.  Every grid point takes one path: it looks up its
+trial's angle stages (beam training, partner choice and the solver's
+angle stage, none of which reads a path length), computed by the first
+point of their key, then ranges both paths from the stored normals and
+runs the solver's range stage.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
 from itertools import islice, product
 from typing import Callable, Sequence
 
@@ -66,7 +68,7 @@ from .geom import (
     solve_angles,
     solve_ranges,
 )
-from .measure import FtmConfig, MeasurementTable, NoUsableHistory, ftm_distance, select_historical
+from .measure import DEFAULT_CAPACITY, MeasurementTable, NoUsableHistory, ftm_distance, select_historical
 
 # Substream tags: one independent generator per randomness source.
 _STREAM_SCENARIO = 0
@@ -94,56 +96,6 @@ _FAILURES = tuple(_FAILURE_STATUS)
 
 def _generator(seed: int, trial: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, trial, stream))))
-
-
-@dataclass(frozen=True)
-class TrialRng:
-    """Named random substreams of one trial, each seeded by (seed, trial,
-    stream).
-
-    aux is built on its first use, so a trial that never refines a beam
-    builds no fifth generator.
-    """
-
-    scenario: np.random.Generator
-    channel: np.random.Generator
-    sweep: np.random.Generator
-    ftm: np.random.Generator
-    seed: int
-    trial: int
-    _start: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        for name in ("sweep", "ftm"):
-            self._start[name] = getattr(self, name).bit_generator.state
-
-    @classmethod
-    def from_seed(cls, seed: int, trial: int) -> "TrialRng":
-        return cls(
-            scenario=_generator(seed, trial, _STREAM_SCENARIO),
-            channel=_generator(seed, trial, _STREAM_CHANNEL),
-            sweep=_generator(seed, trial, _STREAM_SWEEP),
-            ftm=_generator(seed, trial, _STREAM_FTM),
-            seed=seed,
-            trial=trial,
-        )
-
-    @cached_property
-    def aux(self) -> np.random.Generator:
-        gen = _generator(self.seed, self.trial, _STREAM_AUX)
-        self._start["aux"] = gen.bit_generator.state
-        return gen
-
-    def rewind(self, *names: str) -> None:
-        """Return the named streams to their state at construction.
-
-        With no name: sweep, ftm and (once built) aux, as a Trial.memo
-        fill does before training; every grid point then names only
-        "ftm" before ranging.  Restoring a state costs about a tenth of
-        seeding a generator.
-        """
-        for name in names or self._start:
-            getattr(self, name).bit_generator.state = self._start[name]
 
 
 @dataclass(frozen=True)
@@ -197,7 +149,7 @@ class ExperimentConfig:
     ap_yaw_deg: float = 0.0
     sta_yaw_deg: float = 180.0
     target_box: tuple[tuple[float, float], ...] = ((0.0, 2.0), (0.5, 4.0), (-1.0, 1.0))
-    table_capacity: int = 32
+    table_capacity: int = DEFAULT_CAPACITY
     min_pair_angle: float = 0.02
 
     def __post_init__(self) -> None:
@@ -228,8 +180,8 @@ class ExperimentConfig:
             if math.isnan(snr):
                 raise ValueError("snr_db entries must not be NaN")
         for sigma in self.ftm_sigma_m:
-            if not sigma >= 0.0:
-                raise ValueError(f"ftm_sigma_m entries must be >= 0, got {sigma}")
+            if not 0.0 <= sigma < math.inf:
+                raise ValueError(f"ftm_sigma_m entries must be finite and >= 0, got {sigma}")
         if not 0.0 <= self.min_pair_angle < 0.5 * math.pi:
             raise ValueError(f"min_pair_angle must be in [0, pi/2), got {self.min_pair_angle}")
         box = self.target_box
@@ -412,13 +364,14 @@ def _train_beams(
     rx_cb: Codebook,
     p_t: float,
     noise: float,
-    rng: TrialRng,
+    sweep: np.random.Generator,
+    aux: np.random.Generator | None,
 ) -> tuple[PathObservation, float]:
     """Beam stage of one path: the swept (and, in aux mode, refined)
     observation and the path's matched SNR dB.  The observation holds
     the global AoD and AoA, the measured SNR dB, the path's timestamp
-    and its true length, which nothing downstream reads.  It reads the
-    sweep and aux streams and no ranging setting."""
+    and its true length, which nothing downstream reads.  It draws from
+    sweep and, in aux mode, aux, and reads no ranging setting."""
     ap_yaw = math.radians(cfg.ap_yaw_deg)
     sta_yaw = math.radians(cfg.sta_yaw_deg)
     ch = ChannelRealization(
@@ -427,16 +380,16 @@ def _train_beams(
         aoa=_to_local(truth.aoa, sta_yaw),
         path_length=truth.path_length,
     )
-    best_tx, best_rx, snr_est = beam_sweep(ch, tx_cb, rx_cb, p_t, noise, rng.sweep)
+    best_tx, best_rx, snr_est = beam_sweep(ch, tx_cb, rx_cb, p_t, noise, sweep)
     if cfg.beam[0] == "aux":
         # Each side refines against the other's coarse beam.
         best_tx, best_rx = (
             aux_beam_refine(
-                ch, best_tx, "tx", tx_cb.geom, 0.5 * tx_cb.az_cell_width, p_t, noise, rng.aux,
+                ch, best_tx, "tx", tx_cb.geom, 0.5 * tx_cb.az_cell_width, p_t, noise, aux,
                 other_angles=best_rx, other_geom=rx_cb.geom,
             ),
             aux_beam_refine(
-                ch, best_rx, "rx", rx_cb.geom, 0.5 * rx_cb.az_cell_width, p_t, noise, rng.aux,
+                ch, best_rx, "rx", rx_cb.geom, 0.5 * rx_cb.az_cell_width, p_t, noise, aux,
                 other_angles=best_tx, other_geom=tx_cb.geom,
             ),
         )
@@ -453,36 +406,46 @@ def _train_beams(
 class Trial:
     """What one trial draws once and every grid point shares.
 
-    paths holds the scene's two exact observations (path 1 first) with
-    their CN(0,1) channel gains.  memo maps (tx pair, rx pair, SNR, beam
-    mode, planes) to what a point computes before ranging: the realized
-    SNR and, per plane, the solver's angle stage or the status of a
-    failure that reads no path length.  Beam training reads no ranging
-    setting, partner selection reads bearings, SNR and timestamps, and
-    solve_angles reads no length, so none of it depends on sigma.
+    It holds values, not generators.  paths holds the scene's two exact
+    observations (path 1 first) with their CN(0,1) channel gains, and
+    normals the two standard normals that range them (path 1 first),
+    which every grid point scales by its own sigma.  memo maps (tx pair,
+    rx pair, SNR, beam mode, planes) to what a point computes before
+    ranging: the realized SNR and, per plane, the solver's angle stage
+    or the status of a failure that reads no path length.  Beam training
+    reads no ranging setting, partner selection reads bearings, SNR and
+    timestamps, and solve_angles reads no length, so none of it depends
+    on sigma.
 
-    The first point of a key rewinds every stream and fills its entry.
-    Every point, that one included, then rewinds only ftm, ranges both
-    paths and runs solve_ranges on each standing angle stage.  So every
-    grid point gives what a fresh Trial of the same (seed, trial)
-    gives, provided the settings outside the key stay the same.
+    The first point of a key fills its entry, training the beams from
+    freshly seeded sweep and aux streams; a later point of the key
+    builds no generator and draws nothing.  Every point, that one
+    included, then ranges both paths and runs solve_ranges on each
+    standing angle stage.  So every grid point gives what a fresh Trial
+    of the same (seed, index) gives, provided the settings outside the
+    key stay the same.
     """
 
     scene: Scenario
-    rng: TrialRng
+    seed: int
+    index: int
     paths: tuple[tuple[PathObservation, complex], tuple[PathObservation, complex]]
+    normals: tuple[float, float]
     memo: dict[tuple, tuple[float, tuple[AngleStage | str, ...]]] = field(default_factory=dict)
 
     @classmethod
-    def start(cls, scene: Scenario, rng: TrialRng) -> "Trial":
+    def start(cls, scene: Scenario, seed: int, index: int) -> "Trial":
         """The scene's paths, with gains drawn from the channel stream
-        (path 1 first, real part first)."""
+        (path 1 first, real part first), and the ranging normals drawn
+        from the ftm stream."""
         truth1, truth2 = synthesize_observations(scene)
+        channel = _generator(seed, index, _STREAM_CHANNEL)
         gain1, gain2 = (
-            complex(rng.channel.standard_normal(), rng.channel.standard_normal()) / math.sqrt(2.0)
-            for _ in range(2)
+            complex(channel.standard_normal(), channel.standard_normal()) / math.sqrt(2.0) for _ in range(2)
         )
-        return cls(scene, rng, ((truth1, gain1), (truth2, gain2)))
+        ftm = _generator(seed, index, _STREAM_FTM)
+        normals = (float(ftm.standard_normal()), float(ftm.standard_normal()))
+        return cls(scene, seed, index, ((truth1, gain1), (truth2, gain2)), normals)
 
 
 def _outcome(fn: Callable, *args):
@@ -501,8 +464,9 @@ def _pair_angles(table: MeasurementTable, current: PathObservation, plane: Proje
 def _angle_stages(
     cfg: ExperimentConfig, trial: Trial, codebooks: tuple[Codebook, Codebook] | None
 ) -> tuple[float, tuple[AngleStage | str, ...]]:
-    """A Trial.memo entry: train both paths' beams from rewound streams,
-    then per plane pair path 1 with path 2 from a one-record table."""
+    """A Trial.memo entry: train both paths' beams from fresh sweep and
+    (in aux mode) aux streams, then per plane pair path 1 with path 2
+    from a one-record table."""
     tx_pair, rx_pair = cfg.tx_upa[0], cfg.rx_upa[0]
     if codebooks is None:
         codebooks = tuple(build_codebook(UpaGeometry(*pair), cfg.oversampling) for pair in (tx_pair, rx_pair))
@@ -511,9 +475,10 @@ def _angle_stages(
         p_t, noise = 1.0, 0.0  # exact, noise-free measurements
     else:
         p_t, noise = 10.0 ** (snr / 10.0), 1.0
-    trial.rng.rewind()
+    sweep = _generator(trial.seed, trial.index, _STREAM_SWEEP)
+    aux = _generator(trial.seed, trial.index, _STREAM_AUX) if cfg.beam[0] == "aux" else None
     (trained1, snr1), (trained2, snr2) = (
-        _train_beams(cfg, truth, gain, *codebooks, p_t, noise, trial.rng) for truth, gain in trial.paths
+        _train_beams(cfg, truth, gain, *codebooks, p_t, noise, sweep, aux) for truth, gain in trial.paths
     )
     table = MeasurementTable(1)
     table.add(trained2)
@@ -531,11 +496,9 @@ def run_trial(
     if key not in trial.memo:
         trial.memo[key] = _angle_stages(cfg, trial, codebooks)
     realized, stages = trial.memo[key]
-    trial.rng.rewind("ftm")
-    ftm = FtmConfig(cfg.ftm_sigma_m[0])
     (truth1, _), (truth2, _) = trial.paths
-    c1 = ftm_distance(truth1.path_length, ftm, trial.rng.ftm)
-    c2 = ftm_distance(truth2.path_length, ftm, trial.rng.ftm)
+    c1 = ftm_distance(truth1.path_length, cfg.ftm_sigma_m[0], trial.normals[0])
+    c2 = ftm_distance(truth2.path_length, cfg.ftm_sigma_m[0], trial.normals[1])
 
     positions, failures, scene = [], [], None
     for stage in stages:
@@ -630,11 +593,11 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run the full grid; one CurveRow per (UPA pair, SNR, sigma, mode).
 
-    The first time the trial loop reaches trial t, it seeds the trial's
-    streams, samples its scene (``scenario_sampler`` included) and
-    starts its Trial, which every later grid point reuses (see Trial).
-    So the sampler runs once per trial, and run_trial once per grid
-    point and trial.
+    The first time the trial loop reaches trial t, it samples the
+    trial's scene from its scenario stream (``scenario_sampler``
+    included) and starts its Trial, which every later grid point reuses
+    (see Trial).  So the sampler runs once per trial, and run_trial once
+    per grid point and trial.
     """
     sampler = scenario_sampler or make_scenario_sampler(cfg)
     codebook_cache: dict[tuple[int, int, int], Codebook] = {}
@@ -660,8 +623,8 @@ def run_experiment(
         results = []
         for t in range(cfg.trials):
             if t == len(trials):
-                rng = TrialRng.from_seed(cfg.seed, t)
-                trials.append(Trial.start(sampler(rng.scenario), rng))
+                scene = sampler(_generator(cfg.seed, t, _STREAM_SCENARIO))
+                trials.append(Trial.start(scene, cfg.seed, t))
             results.append(run_trial(point_cfg, trials[t], codebooks=books))
         out.curve.append(_aggregate(point_cfg, results))
         if collect_raw:

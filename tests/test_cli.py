@@ -9,8 +9,16 @@ import pytest
 
 import mm3nlos.cli as cli
 from mm3nlos.cli import ConfigError, main, parse_config
-from mm3nlos.geom import PathObservation, SphericalAngles, angles_from_direction
-from mm3nlos.measure import MeasurementRecord, format_record
+from mm3nlos.geom import (
+    DegenerateProjection,
+    InconsistentGeometry,
+    PathObservation,
+    ProjectionPlane,
+    SphericalAngles,
+    angles_from_direction,
+    solve,
+)
+from mm3nlos.measure import MeasurementRecord, format_record, parse_record
 from mm3nlos.sim import ExperimentConfig, curve_csv_header
 
 AP = np.array([-2.674335, 1.692935, 2.874281])
@@ -130,7 +138,7 @@ def test_config_checks_run_before_any_output(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     out = tmp_path / "curve.csv"
     for bad in (
-        "ftm_sigma_m = 0.01, -0.5", "target_box = 2,0, 0.5,4, -1,1", "snr_db = nan",
+        "ftm_sigma_m = 0.01, -0.5", "ftm_sigma_m = inf", "target_box = 2,0, 0.5,4, -1,1", "snr_db = nan",
         # A well-formed box behind the AP, where no point is covered.
         "target_box = -3,-2, 0.5,4, -1,1",
         "min_pair_angle = 1.6", "min_pair_angle = nan", "table_capacity = 0",
@@ -331,6 +339,40 @@ def test_solve_once_names_the_collinear_failure(tmp_path, capsys):
     rc = main(["solve-once", "--config", scene_config(tmp_path), str(records)])
     assert rc == 1
     assert "unsolvable: collinear (scene type 0)" in capsys.readouterr().err
+
+
+def short_path(line):
+    fields = line.split(",")
+    fields[5] = repr(0.5 * float(fields[5]))
+    return ",".join(fields)
+
+
+def broadside_path(line):
+    # Departs along +x, the normal of the yoz plane.
+    fields = line.split(",")
+    aod = angles_from_direction(np.array([1.0, 0.0, 0.0]))
+    fields[1:3] = repr(aod.azimuth), repr(aod.elevation)
+    return ",".join(fields)
+
+
+@pytest.mark.parametrize(
+    ("current", "error", "prefix"),
+    [
+        (short_path, InconsistentGeometry, "inconsistent geometry: "),
+        (broadside_path, DegenerateProjection, "degenerate projection: "),
+    ],
+)
+def test_solve_once_names_each_solver_failure(tmp_path, capsys, current, error, prefix):
+    lines = current(record_line(T1, ts=1, tag="current")), record_line(T2, ts=0, tag="historical")
+    records = tmp_path / "bad.records"
+    records.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(error) as raised:
+        solve(*(parse_record(line).observation for line in lines), ProjectionPlane.from_name("yoz"))
+    rc = main(["solve-once", "--config", scene_config(tmp_path), str(records)])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.err == f"{prefix}{raised.value}\n"
+    assert out.out == ""
 
 
 def test_solve_once_input_errors_exit_two(tmp_path, capsys):

@@ -13,7 +13,6 @@ from mm3nlos import geom
 from mm3nlos.geom import GeomError, PathObservation, ProjectionPlane, SphericalAngles, solve
 from mm3nlos.measure import (
     MIN_DISTANCE,
-    FtmConfig,
     MeasurementRecord,
     MeasurementTable,
     NoUsableHistory,
@@ -42,38 +41,30 @@ def obs(aod_el, aoa_el, c=4.0, snr=10.0, ts=0, aod_az=math.pi / 2, aoa_az=math.p
     )
 
 
-class FixedNormal:
-    def __init__(self, value):
-        self.value = value
-
-    def standard_normal(self):
-        return self.value
-
-
 # ---------------------------------------------------------------------------
 # ranging noise
 
 def test_ftm_is_exact_without_noise():
-    assert ftm_distance(3.7, FtmConfig(0.0), np.random.default_rng(0)) == 3.7
+    assert ftm_distance(3.7, 0.0, 1.3) == 3.7
 
 
 def test_ftm_noise_statistics():
-    rng = np.random.default_rng(8)
-    cfg = FtmConfig(0.25)
-    draws = np.array([ftm_distance(10.0, cfg, rng) for _ in range(4000)])
+    normals = np.random.default_rng(8).standard_normal(4000)
+    draws = np.array([ftm_distance(10.0, 0.25, float(n)) for n in normals])
     assert abs(draws.mean() - 10.0) < 0.02
     assert abs(draws.std() - 0.25) < 0.02
 
 
 def test_ftm_clamps_to_a_positive_floor():
-    assert ftm_distance(1.0, FtmConfig(1.0), FixedNormal(-50.0)) == MIN_DISTANCE
+    assert ftm_distance(1.0, 1.0, -50.0) == MIN_DISTANCE
 
 
 def test_ftm_input_validation():
-    with pytest.raises(ValueError):
-        FtmConfig(-0.1)
-    with pytest.raises(ValueError):
-        ftm_distance(0.0, FtmConfig(0.1), np.random.default_rng(0))
+    for sigma in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="sigma_ftm"):
+            ftm_distance(1.0, sigma, 0.0)
+    with pytest.raises(ValueError, match="true_length"):
+        ftm_distance(0.0, 0.1, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from contextlib import contextmanager
 from itertools import product
 from unittest import mock
 
@@ -27,7 +28,6 @@ from mm3nlos.sim import (
     ExperimentConfig,
     Scenario,
     Trial,
-    TrialRng,
     _to_local,
     curve_csv_header,
     format_curve_csv,
@@ -53,49 +53,78 @@ def small_cfg(**kw):
 # ---------------------------------------------------------------------------
 # randomness plumbing
 
-def test_trial_rng_is_reproducible():
-    a = TrialRng.from_seed(5, 3)
-    b = TrialRng.from_seed(5, 3)
-    assert a.scenario.uniform() == b.scenario.uniform()
-    assert a.channel.standard_normal() == b.channel.standard_normal()
-    assert TrialRng.from_seed(5, 4).scenario.uniform() != TrialRng.from_seed(5, 3).scenario.uniform()
+def scenario_stream(seed, trial):
+    """Trial's scenario generator, as run_experiment seeds it."""
+    return sim._generator(seed, trial, sim._STREAM_SCENARIO)
 
 
-def test_trial_rng_streams_are_independent():
-    a = TrialRng.from_seed(9, 0)
-    b = TrialRng.from_seed(9, 0)
-    b.channel.standard_normal(100)  # consuming one stream leaves the others alone
-    assert a.scenario.uniform() == b.scenario.uniform()
-    assert a.ftm.standard_normal() == b.ftm.standard_normal()
+@contextmanager
+def generator_builds():
+    """Every generator sim seeds inside the block, as (stream tag, generator)."""
+    built, build = [], sim._generator
+
+    def recording(seed, trial, stream):
+        built.append((stream, build(seed, trial, stream)))
+        return built[-1][1]
+
+    with mock.patch.object(sim, "_generator", side_effect=recording):
+        yield built
 
 
-def test_rewind_restarts_the_streams_a_grid_point_consumes():
-    rng, fresh = TrialRng.from_seed(9, 1), TrialRng.from_seed(9, 1)
+def gains(trial):
+    return [gain for _, gain in trial.paths]
 
-    def draws(r):
-        return [r.sweep.standard_normal(3), r.ftm.standard_normal(2), r.aux.standard_normal(2)]
 
-    first = draws(rng)
-    rng.rewind()
-    for got, want in zip(draws(rng), first):
-        np.testing.assert_array_equal(got, want)
-    for got, want in zip(first, draws(fresh)):
-        np.testing.assert_array_equal(got, want)
+def test_trial_start_is_reproducible():
+    scene = make_scenario_sampler(small_cfg())(scenario_stream(5, 3))
+    a, b, other = Trial.start(scene, 5, 3), Trial.start(scene, 5, 3), Trial.start(scene, 5, 4)
+    assert gains(a) == gains(b) and a.normals == b.normals
+    assert gains(other) != gains(a) and other.normals != a.normals
+    assert scenario_stream(5, 4).uniform() != scenario_stream(5, 3).uniform()
+
+
+def test_trial_draws_are_each_streams_first_values():
+    # The gains (path 1 first, real part first) open the channel stream
+    # and the two ranging normals open the ftm stream, so neither
+    # stream's draws move the other's.
+    scene = make_scenario_sampler(small_cfg())(scenario_stream(9, 0))
+    trial = Trial.start(scene, 9, 0)
+    channel = sim._generator(9, 0, sim._STREAM_CHANNEL)
+    want = [complex(channel.standard_normal(), channel.standard_normal()) / math.sqrt(2.0) for _ in range(2)]
+    assert gains(trial) == want
+    ftm = sim._generator(9, 0, sim._STREAM_FTM)
+    assert trial.normals == (ftm.standard_normal(), ftm.standard_normal())
+
+
+def test_each_stream_is_seeded_once_per_draw():
+    # Per trial: one scenario, channel and ftm generator; one sweep
+    # generator per memo key (SNR here) and one aux per aux-mode key, none
+    # in best mode; the later sigma points are memo hits and seed nothing.
+    for mode in ("best", "aux"):
+        cfg = small_cfg(snr_db=(10.0, 30.0), ftm_sigma_m=(0.0, 0.01, 0.1), beam=(mode,), trials=3, seed=2)
+        with generator_builds() as built:
+            run_experiment(cfg)
+        keys = len(cfg.snr_db)
+        per_trial = {sim._STREAM_SCENARIO: 1, sim._STREAM_CHANNEL: 1, sim._STREAM_FTM: 1, sim._STREAM_SWEEP: keys}
+        if mode == "aux":
+            per_trial[sim._STREAM_AUX] = keys
+        assert Counter(tag for tag, _ in built) == {tag: n * cfg.trials for tag, n in per_trial.items()}
 
 
 def test_refinement_draws_only_from_its_own_stream():
-    # One trial in best and in aux mode leaves every stream but aux in the
+    # One trial in best and in aux mode leaves its sweep generator in the
     # same state, and a best-mode trial never builds the aux generator.
-    scene = make_scenario_sampler(small_cfg())(TrialRng.from_seed(2, 0).scenario)
+    scene = make_scenario_sampler(small_cfg())(scenario_stream(2, 0))
     after = {}
     for mode in ("best", "aux"):
-        after[mode] = TrialRng.from_seed(2, 0)
         cfg = small_cfg(tx_upa=((8, 8),), rx_upa=((8, 8),), beam=(mode,))
-        run_trial(cfg, Trial.start(scene, after[mode]))
-    for name in ("scenario", "channel", "sweep", "ftm"):
-        assert getattr(after["best"], name).bit_generator.state == getattr(after["aux"], name).bit_generator.state
-    assert "aux" not in vars(after["best"])
-    assert after["aux"].aux.bit_generator.state != TrialRng.from_seed(2, 0).aux.bit_generator.state
+        with generator_builds() as built:
+            run_trial(cfg, Trial.start(scene, 2, 0))
+        after[mode] = dict(built)
+    sweep, aux = sim._STREAM_SWEEP, sim._STREAM_AUX
+    assert after["best"][sweep].bit_generator.state == after["aux"][sweep].bit_generator.state
+    assert aux not in after["best"]
+    assert after["aux"][aux].bit_generator.state != sim._generator(2, 0, aux).bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +516,7 @@ def test_on_grid_noiseless_trial_is_exact():
         tx_upa=((8, 1),), rx_upa=((8, 1),), snr_db=(math.inf,), ftm_sigma_m=(0.0,),
         trials=1, planes=("xoy",),
     )
-    res = run_trial(cfg, Trial.start(Scenario(ap, sta, t1, t2), TrialRng.from_seed(0, 0)))
+    res = run_trial(cfg, Trial.start(Scenario(ap, sta, t1, t2), 0, 0))
     assert res.status == "ok"
     assert res.distance_error < 1e-6
     assert math.isinf(res.realized_snr_db)
@@ -521,7 +550,7 @@ def test_a_hopeless_scene_fails_as_data():
     ap, sta = np.zeros(3), np.array([0.0, 2.0, 0.0])
     t1, t2 = np.array([0.0, 3.0, 0.0]), np.array([0.0, 4.0, 0.0])
     cfg = small_cfg(snr_db=(math.inf,), ftm_sigma_m=(0.0,), trials=1, planes=("xoy",))
-    res = run_trial(cfg, Trial.start(Scenario(ap, sta, t1, t2), TrialRng.from_seed(0, 0)))
+    res = run_trial(cfg, Trial.start(Scenario(ap, sta, t1, t2), 0, 0))
     assert res.status == "no_history"
     assert math.isnan(res.distance_error)
     assert np.isnan(res.est_position).all()
@@ -553,8 +582,9 @@ def test_config_validation():
         small_cfg(table_capacity=0)
     with pytest.raises(ValueError, match="ap_pos"):
         small_cfg(ap_pos=(1.0, 2.0, 3.0), sta_pos=(1.0, 2.0, 3.0))
-    with pytest.raises(ValueError, match="ftm_sigma_m"):
-        small_cfg(ftm_sigma_m=(0.01, -0.5))
+    for sigma in (-0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="ftm_sigma_m"):
+            small_cfg(ftm_sigma_m=(0.01, sigma))
     for box in (((0.0, 2.0),), ((0.0, 2.0), (0.5, 4.0), (1.0, 1.0)), ((0.0, 2.0), (0.5, 4.0), (-1.0, 1.0, 2.0))):
         with pytest.raises(ValueError, match="target_box"):
             small_cfg(target_box=box)
@@ -603,21 +633,22 @@ def test_each_trial_is_sampled_once_for_the_whole_grid():
 
     with (
         mock.patch.object(sim, "synthesize_observations", wraps=sim.synthesize_observations) as paths,
-        mock.patch.object(TrialRng, "from_seed", wraps=TrialRng.from_seed) as seeded,
+        generator_builds() as built,
     ):
         out = run_experiment(cfg, counting, collect_raw=True)
-    assert len(calls) == paths.call_count == seeded.call_count == cfg.trials
+    seeded = [tag for tag, _ in built].count(sim._STREAM_SCENARIO)
+    assert len(calls) == paths.call_count == seeded == cfg.trials
     assert len(out.curve) == 5
     for i, r in enumerate(out.raw):
-        want = sample(TrialRng.from_seed(cfg.seed, i % cfg.trials).scenario)
+        want = sample(scenario_stream(cfg.seed, i % cfg.trials))
         np.testing.assert_array_equal(r.true_position, want.target1_pos)
 
 
 def test_grid_points_match_trials_run_from_fresh_streams():
-    # Later grid points rewind each trial's streams, reuse its paths and,
+    # Later grid points reuse each trial's paths and ranging normals and,
     # at a later sigma, its beam-trained angles and each plane's angle
-    # stage; every result must equal a trial run from freshly seeded
-    # streams with no memo, on both planes and on each plane alone.
+    # stage; every result must equal a trial started afresh with no memo,
+    # on both planes and on each plane alone.
     planes = ("yoz", "xoy")
     cfg = small_cfg(
         snr_db=(10.0, 30.0), ftm_sigma_m=(0.01, 0.1), beam=("best", "aux"), planes=planes, trials=6, seed=6
@@ -630,9 +661,8 @@ def test_grid_points_match_trials_run_from_fresh_streams():
     for (snr, sigma, mode, trial), got in zip(points, out.raw, strict=True):
         alone = []
         for subset in (planes, *((p,) for p in planes)):
-            rng = TrialRng.from_seed(cfg.seed, trial)
             point = small_cfg(snr_db=(snr,), ftm_sigma_m=(sigma,), beam=(mode,), planes=subset, seed=6)
-            want = run_trial(point, Trial.start(sample(rng.scenario), rng))
+            want = run_trial(point, Trial.start(sample(scenario_stream(cfg.seed, trial)), cfg.seed, trial))
             if subset == planes:
                 for name in ("status", "scene", "distance_error", "realized_snr_db", "est_position"):
                     np.testing.assert_equal(getattr(got, name), getattr(want, name))
@@ -717,25 +747,19 @@ def test_bearings_are_taken_once_per_trial_and_plane_across_the_sigma_grid():
     assert counted.call_count == 4 * len(cfg.planes) * cfg.trials
 
 
-def test_a_memo_hit_rewinds_only_the_ftm_stream():
+def test_a_memo_hit_builds_no_generator():
     cfg = small_cfg(beam=("aux",), seed=4)
-    rng = TrialRng.from_seed(4, 0)
-    trial = Trial.start(make_scenario_sampler(cfg)(rng.scenario), rng)
+    trial = Trial.start(make_scenario_sampler(cfg)(scenario_stream(4, 0)), 4, 0)
     first = run_trial(cfg, trial)
-    ranged = rng.ftm.bit_generator.state
-    rng.sweep.standard_normal()
-    rng.aux.standard_normal()
-    moved = {name: getattr(rng, name).bit_generator.state for name in ("sweep", "aux")}
-    with mock.patch.object(sim, "beam_sweep") as sweep:
+    with mock.patch.object(sim, "beam_sweep") as sweep, generator_builds() as built:
         again = run_trial(cfg, trial)
     sweep.assert_not_called()
-    assert {name: getattr(rng, name).bit_generator.state for name in ("sweep", "aux")} == moved
-    assert rng.ftm.bit_generator.state == ranged
+    assert built == []
     np.testing.assert_equal(again.est_position, first.est_position)
-    # A miss (a new SNR) rewinds every stream and trains afresh on the
+    # A miss (a new SNR) trains afresh from newly seeded streams on the
     # trial's own gains: it equals a fresh trial.
     point = small_cfg(beam=("aux",), snr_db=(10.0,), seed=4)
-    want = run_trial(point, Trial.start(trial.scene, TrialRng.from_seed(4, 0)))
+    want = run_trial(point, Trial.start(trial.scene, 4, 0))
     got = run_trial(point, trial)
     np.testing.assert_equal(got.est_position, want.est_position)
     assert len(trial.memo) == 2
@@ -749,13 +773,12 @@ def test_a_trial_reused_across_plane_sets_matches_fresh_trials():
     sample = make_scenario_sampler(cfg)
     differs = 0
     for t in range(4):
-        rng = TrialRng.from_seed(cfg.seed, t)
-        trial = Trial.start(sample(rng.scenario), rng)
+        trial = Trial.start(sample(scenario_stream(cfg.seed, t)), cfg.seed, t)
         errors = set()
         for planes in plane_sets:
             point = small_cfg(beam=("aux",), planes=planes, seed=6)
             got = run_trial(point, trial)
-            want = run_trial(point, Trial.start(trial.scene, TrialRng.from_seed(cfg.seed, t)))
+            want = run_trial(point, Trial.start(trial.scene, cfg.seed, t))
             for name in ("status", "scene", "distance_error", "realized_snr_db", "est_position"):
                 np.testing.assert_equal(getattr(got, name), getattr(want, name))
             errors.add(got.distance_error)

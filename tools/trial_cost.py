@@ -43,7 +43,8 @@ def main(argv: list[str] | None = None) -> int:
     import numpy as np
 
     from mm3nlos.channel import UpaGeometry, build_codebook
-    from mm3nlos.sim import ExperimentConfig, Trial, TrialRng, make_scenario_sampler, run_trial
+    from mm3nlos import sim
+    from mm3nlos.sim import ExperimentConfig, Trial, make_scenario_sampler, run_trial
 
     cfg = ExperimentConfig(
         tx_upa=((8, 8),), rx_upa=((8, 8),), ftm_sigma_m=SIGMAS, beam=("aux",), trials=TRIALS, seed=SEED
@@ -52,12 +53,12 @@ def main(argv: list[str] | None = None) -> int:
     book = build_codebook(UpaGeometry(8, 8), cfg.oversampling)
     books = (book, book)
     sample = make_scenario_sampler(cfg)
-    scenes = [sample(TrialRng.from_seed(cfg.seed, t).scenario) for t in range(cfg.trials)]
+    scenes = [sample(sim._generator(cfg.seed, t, sim._STREAM_SCENARIO)) for t in range(cfg.trials)]
 
     miss_s, hit_s = [], []
     for _ in range(REPEATS):
-        # Fresh streams and empty memos; run_trial reads no scenario stream.
-        trials = [Trial.start(scene, TrialRng.from_seed(cfg.seed, t)) for t, scene in enumerate(scenes)]
+        # Fresh draws and empty memos; run_trial reads no scenario stream.
+        trials = [Trial.start(scene, cfg.seed, t) for t, scene in enumerate(scenes)]
         gc.disable()
         try:
             start = time.perf_counter()
