@@ -17,14 +17,17 @@ rescale each 3D length to its in-plane shadow.
 
 solve is solve_ranges of solve_angles: the angle stage does all that the
 four directions decide, so pairs whose path lengths change and whose
-directions do not can share it.
+directions do not can share it.  The range stage runs every check and
+returns the distance; a result builds its audit trail
+(SolverIntermediates) on first read, by running it again with recording on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from functools import cached_property, partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -200,7 +203,12 @@ class SolveResult:
     direction: np.ndarray
     distance: float
     scene: SceneType
-    intermediates: SolverIntermediates = field(repr=False, default_factory=SolverIntermediates)
+    _record: Callable[[], tuple[float, SolverIntermediates]] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def intermediates(self) -> SolverIntermediates:
+        """Audit trail, built on first read by re-running the range stage; all NaN without _record."""
+        return SolverIntermediates() if self._record is None else self._record()[1]
 
 
 def _unit(angles: SphericalAngles) -> tuple[float, float, float]:
@@ -355,8 +363,8 @@ def classify_scene(cw_aod_pair: float, cw_aoa_pair: float, cw_cross: float) -> S
     return _SCENE_BY_CODE[3]
 
 
-#: A branch's range stage: (c1, c2) -> (distance, intermediates).
-RangeStage = Callable[[float, float], tuple[float, SolverIntermediates]]
+#: A branch's range stage: (c1, c2) -> distance, or (c1, c2, record=True) -> (distance, intermediates).
+RangeStage = Callable[..., float | tuple[float, SolverIntermediates]]
 
 
 class AngleStage(NamedTuple):
@@ -425,7 +433,7 @@ def _separate(bearings: tuple[float, ...], cos_tilts: tuple[float, float, float,
     # ... and of cos(t1_angle_ap) in the cleared ratio equation.
     c_free_1, c_free_2 = sin_aa * sin_as * ca2 * cs1 * cs2, sin_shift * sin_aa * ca1 * ca2 * cs2
 
-    def ranges(c1: float, c2: float) -> tuple[float, SolverIntermediates]:
+    def ranges(c1: float, c2: float, record: bool = False) -> float | tuple[float, SolverIntermediates]:
         ratio = c1 / c2
         s_terms = (
             s_free_1,
@@ -471,6 +479,8 @@ def _separate(bearings: tuple[float, ...], cos_tilts: tuple[float, float, float,
         residual = abs(lhs_num - rhs * lhs_den) / (abs(lhs_num) + abs(rhs * lhs_den) + 1e-300)
         if residual > TOL_RESIDUAL:
             raise InconsistentGeometry(f"sine-rule residual {residual:.3g} above tolerance")
+        if not record:
+            return distance
 
         denom = math.sin(apex_sta + t1_sta)
         return distance, SolverIntermediates(
@@ -544,28 +554,25 @@ def _collinear(bearings: tuple[float, ...], cos_tilts: tuple[float, float, float
         raise InconsistentGeometry("degenerate collinear weight split")
     leg_scale = sin_both * near_sin / (sin_angle * near_cos)
 
-    def ranges(c1: float, c2: float) -> tuple[float, SolverIntermediates]:
+    def ranges(c1: float, c2: float, record: bool = False) -> float | tuple[float, SolverIntermediates]:
         weight_top = (
             c2 * sin_apex * near_cos * near_sin
             + s1 * c2 * sin_both * far_cos_1 * near_sin
             - s1 * c1 * sin_angle * far_cos_1 * near_cos
         )
-        leg = leg_scale * (c2 - weight_top / weight_bottom)
-        if ap_side:
-            distance = leg
-            open_leg_shadow = distance * near_cos  # reflector 1 to the STA, in plane
-        else:
-            distance = c1 - leg
-            open_leg_shadow = leg * near_cos  # reflector 1 to the AP, in plane
+        leg = leg_scale * (c2 - weight_top / weight_bottom)  # reflector 1 to the open-triangle terminal
+        distance = leg if ap_side else c1 - leg
         if not (0.0 < distance < c1):
             raise InconsistentGeometry(
                 f"reflector distance {distance:.6g} outside (0, c1={c1:.6g})"
             )
+        if not record:
+            return distance
 
         # Sine rule in the open triangle: the pair separation faces the apex.
         return distance, SolverIntermediates(
             *bearings, **sided, weight_ap=weight_top, weight_sta=weight_bottom, sign_leg_1=s1, sign_leg_2=s2,
-            projected_pair_distance=open_leg_shadow * sin_apex / sin_both if sin_both > _EPS_ANGLE else math.nan,
+            projected_pair_distance=leg * near_cos * sin_apex / sin_both if sin_both > _EPS_ANGLE else math.nan,
         )
 
     return ranges
@@ -610,8 +617,8 @@ def solve_ranges(stage: AngleStage, c1: float, c2: float) -> SolveResult:
     reflector placement (a reflector-1 angle out of range, a degenerate
     weight split, a distance outside (0, c1), a residual above
     tolerance)."""
-    distance, inter = stage.ranges(c1, c2)
-    return SolveResult(direction=np.array(stage.direction), distance=distance, scene=stage.scene, intermediates=inter)
+    distance = stage.ranges(c1, c2)
+    return SolveResult(np.array(stage.direction), distance, stage.scene, partial(stage.ranges, c1, c2, record=True))
 
 
 def solve(obs1: PathObservation, obs2: PathObservation, plane: ProjectionPlane) -> SolveResult:
@@ -620,6 +627,12 @@ def solve(obs1: PathObservation, obs2: PathObservation, plane: ProjectionPlane) 
     return solve_ranges(solve_angles(obs1, obs2, plane), obs1.path_length, obs2.path_length)
 
 
+def reach(sta: Sequence[float], distance: float, direction: Sequence[float]) -> tuple[float, float, float]:
+    """sta + distance * direction on floats, component by component."""
+    (sx, sy, sz), (ux, uy, uz) = sta, direction
+    return sx + distance * ux, sy + distance * uy, sz + distance * uz
+
+
 def localize(result: SolveResult, sta_position: np.ndarray) -> np.ndarray:
     """Reflector position implied by a solve, given the STA position."""
-    return np.asarray(sta_position, dtype=float) + result.distance * result.direction
+    return np.array(reach(np.asarray(sta_position, dtype=float).tolist(), result.distance, result.direction.tolist()))

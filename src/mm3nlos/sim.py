@@ -64,9 +64,9 @@ from .geom import (
     bearing,
     collinear_gap,
     localize,
+    reach,
     solve,
     solve_angles,
-    solve_ranges,
 )
 from .measure import DEFAULT_CAPACITY, MeasurementTable, NoUsableHistory, ftm_distance, select_historical
 
@@ -420,8 +420,8 @@ class Trial:
     The first point of a key fills its entry, training the beams from
     freshly seeded sweep and aux streams; a later point of the key
     builds no generator and draws nothing.  Every point, that one
-    included, then ranges both paths and runs solve_ranges on each
-    standing angle stage.  So every grid point gives what a fresh Trial
+    included, then ranges both paths and runs each standing angle
+    stage's range stage.  So every grid point gives what a fresh Trial
     of the same (seed, index) gives, provided the settings outside the
     key stay the same.
     """
@@ -500,19 +500,22 @@ def run_trial(
     c1 = ftm_distance(truth1.path_length, cfg.ftm_sigma_m[0], trial.normals[0])
     c2 = ftm_distance(truth2.path_length, cfg.ftm_sigma_m[0], trial.normals[1])
 
-    positions, failures, scene = [], [], None
+    # sum(localize(...)) / n on floats, bit for bit: plane order, from 0.0.
+    sta, x, y, z, solved, failures = trial.scene.sta_pos.tolist(), 0.0, 0.0, 0.0, [], []
     for stage in stages:
-        fix = stage if isinstance(stage, str) else _outcome(solve_ranges, stage, c1, c2)
-        if isinstance(fix, str):
-            failures.append(fix)
+        distance = stage if isinstance(stage, str) else _outcome(stage.ranges, c1, c2)
+        if isinstance(distance, str):
+            failures.append(distance)
             continue
-        positions.append(localize(fix, trial.scene.sta_pos))
-        scene = scene or fix.scene
+        px, py, pz = reach(sta, distance, stage.direction)
+        x, y, z = x + px, y + py, z + pz
+        solved.append(stage.scene)
     target = trial.scene.target1_pos
-    if not positions:  # every plane failed; the first plane's status stands
+    if not solved:  # every plane failed; the first plane's status stands
         return TrialResult(target, np.full(3, math.nan), math.nan, None, realized, failures[0])
-    est = sum(positions) / len(positions)  # np.mean's arithmetic, bit for bit
-    return TrialResult(target, est, float(np.linalg.norm(est - target)), scene, realized, "ok")
+    n = len(solved)
+    est = np.array((x / n, y / n, z / n))
+    return TrialResult(target, est, float(np.linalg.norm(est - target)), solved[0], realized, "ok")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from mm3nlos import geom
 from mm3nlos.geom import (
     EPS_COLLINEAR,
     EPS_PROJECTION,
@@ -461,6 +462,8 @@ def test_localize_walks_from_the_receiver():
         scene=SceneType(4),
     )
     np.testing.assert_allclose(localize(res, np.array([2.0, 0.0, 0.0])), [1.0, 1.0, 0.0], atol=1e-12)
+    # Built directly, with no range stage to re-run, it audits as all NaN.
+    assert all(math.isnan(v) for v in dataclasses.astuple(res.intermediates))
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +551,13 @@ def _attempt(fn, *args):
         return exc
 
 
+def _audit_bits(inter):
+    return tuple(float(v).hex() for v in dataclasses.astuple(inter))
+
+
 def _bits(res):
     """Every output of a solve, bit for bit; NaN and -0.0 are told apart."""
-    inter = tuple(float(v).hex() for v in dataclasses.astuple(res.intermediates))
-    return res.scene, float(res.distance).hex(), res.direction.tobytes(), inter
+    return res.scene, float(res.distance).hex(), res.direction.tobytes(), _audit_bits(res.intermediates)
 
 
 def stages_agree(case, scale_1, scale_2):
@@ -590,3 +596,71 @@ def test_the_stage_comparison_reaches_every_scene_code_and_failure():
     assert {("InconsistentGeometry", "reflector distance"), ("InconsistentGeometry", "implied reflector-1")} <= failures
     # Code 5 fails in the range stage too.
     assert any(code == 5 and kind == "InconsistentGeometry" for code, kind, _ in seen)
+
+
+# ---------------------------------------------------------------------------
+# the plain range stage and the audit trail on request
+
+
+def observed_pair(case):
+    ap, sta, t1, t2, plane = case
+    return observe(ap, sta, t1, 1), observe(ap, sta, t2, 0), plane
+
+
+def plain_and_recorded(case, scale_1, scale_2):
+    """The case's range stage at the scaled lengths, run plain and with
+    recording on: (stage, c1, c2, plain, recorded), each outcome a value
+    or the GeomError it raised; None when the angle stage raises."""
+    obs1, obs2, plane = observed_pair(case)
+    stage = _attempt(solve_angles, obs1, obs2, plane)
+    if isinstance(stage, GeomError):
+        return None
+    c1, c2 = obs1.path_length * scale_1, obs2.path_length * scale_2
+    return stage, c1, c2, _attempt(stage.ranges, c1, c2), _attempt(functools.partial(stage.ranges, record=True), c1, c2)
+
+
+@given(case=stage_cases, scale_1=length_scales, scale_2=length_scales)
+def test_the_plain_range_stage_is_the_recording_run_without_its_record(case, scale_1, scale_2):
+    out = plain_and_recorded(case, scale_1, scale_2)
+    if out is None:
+        return
+    stage, c1, c2, plain, recorded = out
+    if isinstance(recorded, GeomError):
+        assert type(plain) is type(recorded) and str(plain) == str(recorded)
+        return
+    distance, record = recorded
+    assert float(plain).hex() == float(distance).hex()
+    # The audit trail that a result builds on first read is the recording run's.
+    res = solve_ranges(stage, c1, c2)
+    assert _bits(res) == (stage.scene, float(distance).hex(), np.array(stage.direction).tobytes(), _audit_bits(record))
+    assert res.intermediates is res.intermediates  # built once
+
+
+def test_the_plain_range_stage_comparison_reaches_every_scene_code():
+    rng = np.random.default_rng(43)
+    cases = STAGE_CASES + [_sampled_case(int(s), p) for p in (YOZ, XOY, XOZ) for s in rng.integers(0, 2**32, 40)]
+    outs = [plain_and_recorded(case, *scales) for case in cases for scales in ((1.0, 1.0), (0.5, 1.0), (1.0, 1e-4))]
+    seen = {(out[0].scene.code, isinstance(out[4], GeomError)) for out in outs if out is not None}
+    # Every code both solves and fails in the range stage.
+    assert seen == {(code, failed) for code in range(1, 6) for failed in (False, True)}
+
+
+def test_the_residual_check_fires_on_the_plain_path(monkeypatch):
+    # With the tolerance below every residual, each code 1-4 scene that
+    # solves at the real tolerance must fail the check, through solve and
+    # through solve_ranges alike.
+    pairs, seed = {}, 0
+    while len(pairs) < 4:
+        for plane in (YOZ, XOY, XOZ):
+            obs1, obs2, plane = observed_pair(_sampled_case(seed, plane))
+            fix = _attempt(solve, obs1, obs2, plane)
+            if not isinstance(fix, GeomError) and fix.scene.code != 5:
+                assert fix.intermediates.residual <= geom.TOL_RESIDUAL
+                pairs.setdefault(fix.scene.code, (obs1, obs2, plane))
+        seed += 1
+    monkeypatch.setattr(geom, "TOL_RESIDUAL", -1.0)
+    for obs1, obs2, plane in pairs.values():
+        with pytest.raises(InconsistentGeometry, match="^sine-rule residual .* above tolerance$"):
+            solve(obs1, obs2, plane)
+        with pytest.raises(InconsistentGeometry, match="^sine-rule residual .* above tolerance$"):
+            solve_ranges(solve_angles(obs1, obs2, plane), obs1.path_length, obs2.path_length)

@@ -22,6 +22,7 @@ from mm3nlos.geom import (
     angles_from_direction,
     collinear_gap,
     direction_from_angles,
+    localize,
 )
 from mm3nlos.measure import MIN_DISTANCE
 from mm3nlos.sim import (
@@ -685,7 +686,7 @@ def test_a_sigma_grid_selects_and_solves_each_plane_once_per_trial():
     # the range stage once per plane whose angle stage stood, and none
     # runs the full solve.
     cfg = small_cfg(ftm_sigma_m=(0.0, 0.005, 0.01, 0.02, 0.05), planes=("yoz", "xoy"), trials=4, seed=4)
-    partners, stood = [], []
+    partners, stood, ranged = [], [], []
     select, angles = sim.select_historical, sim.solve_angles
 
     def selecting(*args, **kwargs):
@@ -693,22 +694,69 @@ def test_a_sigma_grid_selects_and_solves_each_plane_once_per_trial():
         return partners[-1]
 
     def staging(*args):
-        stood.append(angles(*args))  # or raises a GeomError
-        return stood[-1]
+        stage = angles(*args)  # or raises a GeomError
+        stood.append(stage)
+
+        def ranging_stage(*args, **kwargs):
+            ranged.append(kwargs)
+            return stage.ranges(*args, **kwargs)
+
+        return stage._replace(ranges=ranging_stage)
 
     with (
         mock.patch.object(sim, "select_historical", side_effect=selecting) as selected,
         mock.patch.object(sim, "solve_angles", side_effect=staging) as staged,
         mock.patch.object(sim, "solve", wraps=sim.solve) as solved,
-        mock.patch.object(sim, "solve_ranges", wraps=sim.solve_ranges) as ranged,
+        mock.patch.object(geom, "solve_ranges", wraps=geom.solve_ranges) as finished,
         mock.patch.object(sim, "ftm_distance", wraps=sim.ftm_distance) as ranging,
     ):
         out = run_experiment(cfg, collect_raw=True)
     assert selected.call_count == len(cfg.planes) * cfg.trials
     assert staged.call_count == len(partners) > 0
     solved.assert_not_called()
-    assert ranged.call_count == len(cfg.ftm_sigma_m) * len(stood) > 0
+    finished.assert_not_called()
+    # One plain range-stage run per standing stage per point; none records.
+    assert len(ranged) == len(cfg.ftm_sigma_m) * len(stood) > 0
+    assert not any(ranged)
     assert ranging.call_count == 2 * len(out.raw)
+
+
+def test_the_float_average_is_the_mean_of_localized_positions():
+    # run_trial averages the planes' positions on floats; it must give
+    # sum(localize(...)) / n bit for bit, whichever planes fail.
+    cfg = small_cfg(snr_db=(5.0,), ftm_sigma_m=(0.05,), planes=("yoz", "xoy", "xoz"), trials=200, seed=8)
+    sample = make_scenario_sampler(cfg)
+    solving = Counter()
+    for t in range(cfg.trials):
+        trial = Trial.start(sample(scenario_stream(cfg.seed, t)), cfg.seed, t)
+        got = run_trial(cfg, trial)
+        (_, stages), = trial.memo.values()
+        c1, c2 = (sim.ftm_distance(truth.path_length, 0.05, z) for (truth, _), z in zip(trial.paths, trial.normals))
+        fixes = [sim._outcome(geom.solve_ranges, stage, c1, c2) for stage in stages if not isinstance(stage, str)]
+        fixes = [fix for fix in fixes if not isinstance(fix, str)]
+        solving[len(fixes)] += 1
+        if not fixes:
+            assert got.status != "ok"
+            continue
+        want = sum(localize(fix, trial.scene.sta_pos) for fix in fixes) / len(fixes)
+        assert (got.status, got.scene) == ("ok", fixes[0].scene)
+        assert got.est_position.tobytes() == want.tobytes()
+        assert got.distance_error == float(np.linalg.norm(want - trial.scene.target1_pos))
+    assert min(solving[n] for n in (1, 2, 3)) > 0, solving
+
+
+def test_the_residual_check_fires_in_run_trial(monkeypatch):
+    # With the tolerance below every residual, a trial that solved on a
+    # code 1-4 scene must fail as inconsistent geometry.
+    cfg = small_cfg(trials=1)
+    sample = make_scenario_sampler(cfg)
+    trials = [Trial.start(sample(scenario_stream(cfg.seed, t)), cfg.seed, t) for t in range(10)]
+    solved = [t for t in trials if (res := run_trial(cfg, t)).status == "ok" and res.scene.code in (1, 2, 3, 4)]
+    assert solved
+    monkeypatch.setattr(geom, "TOL_RESIDUAL", -1.0)
+    for trial in solved:
+        fresh = Trial.start(trial.scene, trial.seed, trial.index)
+        assert run_trial(cfg, fresh).status == "inconsistent_geometry"
 
 
 @pytest.mark.parametrize(

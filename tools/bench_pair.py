@@ -163,7 +163,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--description", default=None, help="one line saying what the change does")
-    parser.add_argument("--workdir", type=Path, default=None, help="parent tree location (default: system temp)")
+    parser.add_argument(
+        "--workdir", type=Path, default=None, help="parent tree location, created if missing (default: system temp)"
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -173,6 +175,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--workload names no workload")
 
     parent_sha = git("rev-parse", args.parent)
+    if args.workdir is not None:
+        args.workdir.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix="bench_pair-", dir=args.workdir))
     runs: dict[str, list[dict]] = {}
     try:
