@@ -707,14 +707,12 @@ def test_a_sigma_grid_selects_and_solves_each_plane_once_per_trial():
         mock.patch.object(sim, "select_historical", side_effect=selecting) as selected,
         mock.patch.object(sim, "solve_angles", side_effect=staging) as staged,
         mock.patch.object(sim, "solve", wraps=sim.solve) as solved,
-        mock.patch.object(geom, "solve_ranges", wraps=geom.solve_ranges) as finished,
         mock.patch.object(sim, "ftm_distance", wraps=sim.ftm_distance) as ranging,
     ):
         out = run_experiment(cfg, collect_raw=True)
     assert selected.call_count == len(cfg.planes) * cfg.trials
     assert staged.call_count == len(partners) > 0
     solved.assert_not_called()
-    finished.assert_not_called()
     # One plain range-stage run per standing stage per point; none records.
     assert len(ranged) == len(cfg.ftm_sigma_m) * len(stood) > 0
     assert not any(ranged)
